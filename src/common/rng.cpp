@@ -46,17 +46,14 @@ double hash_to_normal(std::uint64_t h) {
   return r * std::cos(2.0 * std::numbers::pi * u2);
 }
 
-std::uint64_t fnv1a64(std::uint64_t state, const void* data, std::size_t n) {
+std::uint64_t fnv1a64(const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t state = 0xCBF29CE484222325ULL;
   for (std::size_t i = 0; i < n; ++i) {
     state ^= p[i];
     state *= 0x100000001B3ULL;
   }
   return state;
-}
-
-std::uint64_t fnv1a64(const void* data, std::size_t n) {
-  return fnv1a64(kFnv1a64Basis, data, n);
 }
 
 }  // namespace micronas

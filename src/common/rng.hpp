@@ -101,10 +101,4 @@ double hash_to_uniform(std::uint64_t h);
 /// standard library implementation.
 std::uint64_t fnv1a64(const void* data, std::size_t n);
 
-/// Chained form with an explicit running state, for hashes over
-/// discontiguous ranges (e.g. a file checksum that skips its own
-/// storage field). Seed with kFnv1a64Basis for the first range.
-inline constexpr std::uint64_t kFnv1a64Basis = 0xCBF29CE484222325ULL;
-std::uint64_t fnv1a64(std::uint64_t state, const void* data, std::size_t n);
-
 }  // namespace micronas

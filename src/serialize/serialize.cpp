@@ -1,12 +1,16 @@
 #include "src/serialize/serialize.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "src/common/rng.hpp"  // fnv1a64
+#include "src/obs/trace.hpp"
 #include "src/rt/memory_planner.hpp"
 
 // MappedPackage's zero-copy backend. The non-POSIX fallback reads the
@@ -34,17 +38,45 @@ namespace {
 constexpr char kMagic[8] = {'M', 'N', 'A', 'S', 'P', 'K', 'G', '\0'};
 constexpr std::uint32_t kEndianTag = 0x01020304;
 // magic | version | endian | file_size | section_count | reserved
-// | file checksum (fnv1a64 over every file byte except this field —
-// so corruption anywhere, including inter-section padding, is caught).
+// | header checksum (over the header and the section table).
 constexpr std::size_t kChecksumOffset = 8 + 4 + 4 + 8 + 4 + 4;
 constexpr std::size_t kHeaderBytes = kChecksumOffset + 8;
 constexpr std::size_t kTableEntryBytes = 4 + 4 + 8 + 8 + 8;
 constexpr std::uint32_t kMaxSections = 64;
 
-/// Chained fnv1a64 so the file checksum can skip its own storage field.
-std::uint64_t file_checksum(std::span<const std::byte> bytes) {
-  const std::uint64_t h = fnv1a64(kFnv1a64Basis, bytes.data(), kChecksumOffset);
-  return fnv1a64(h, bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes);
+// xxHash64's primes (all odd, so multiplying by one is a bijection).
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+std::uint64_t load_le64(const std::byte* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    std::uint64_t swapped = 0;
+    for (int i = 0; i < 8; ++i) swapped = (swapped << 8) | ((v >> (8 * i)) & 0xFF);
+    v = swapped;
+  }
+  return v;
+}
+
+/// One lane step: a bijection of the lane for a fixed word and of the
+/// word for a fixed lane.
+std::uint64_t lane_round(std::uint64_t lane, std::uint64_t word) {
+  return std::rotl(lane + word * kPrime2, 31) * kPrime1;
+}
+
+/// package_checksum over the header and section table (`head`) with
+/// the checksum field read as zero, so the field can hold the value.
+std::uint64_t header_checksum(std::span<const std::byte> head) {
+  std::array<std::byte, kHeaderBytes + kMaxSections * kTableEntryBytes> copy{};
+  if (head.size() < kHeaderBytes || head.size() > copy.size()) {
+    throw SerializeError("header: section table size out of range");
+  }
+  std::copy(head.begin(), head.end(), copy.begin());
+  std::fill_n(copy.begin() + kChecksumOffset, 8, std::byte{0});
+  return package_checksum(std::span<const std::byte>(copy).first(head.size()));
 }
 
 // Section four-character codes, little-endian packed.
@@ -555,17 +587,19 @@ struct RawSection {
   std::span<const std::byte> payload;
 };
 
-std::uint64_t checksum_of(std::span<const std::byte> bytes) {
-  return fnv1a64(bytes.data(), bytes.size());
-}
-
 std::size_t align_file(std::size_t offset) {
   const std::size_t a = kConstAlignment;
   return (offset + a - 1) / a * a;
 }
 
-/// Parse header + section table; bounds-check and checksum-verify every
-/// section. Shared by load_model_bytes and read_package_info.
+bool all_zero(std::span<const std::byte> bytes) {
+  return std::all_of(bytes.begin(), bytes.end(), [](std::byte b) { return b == std::byte{0}; });
+}
+
+/// Parse header + section table and verify every file byte once: the
+/// header checksum over header and table, each section's checksum over
+/// its payload, and zero padding everywhere else. Shared by
+/// load_model_bytes and read_package_info.
 std::vector<RawSection> read_sections(std::span<const std::byte> bytes,
                                       std::vector<SectionInfo>* info) {
   ByteReader r(bytes, "header");
@@ -592,10 +626,15 @@ std::vector<RawSection> read_sections(std::span<const std::byte> bytes,
   }
   r.u32();  // reserved
   const std::uint64_t declared_checksum = r.u64();
-  if (file_checksum(bytes) != declared_checksum) {
-    throw SerializeError("header: file checksum mismatch (corrupted)");
+  const std::size_t table_end = kHeaderBytes + section_count * kTableEntryBytes;
+  if (table_end > bytes.size()) throw SerializeError("header: section table escapes the file");
+  if (header_checksum(bytes.first(table_end)) != declared_checksum) {
+    throw SerializeError("header: checksum mismatch (corrupted)");
   }
 
+  // Sections ascend without overlapping: `end` is where the previous
+  // one (or the table) stopped, and the gap up to the next is padding.
+  std::uint64_t end = table_end;
   std::vector<RawSection> sections;
   sections.reserve(section_count);
   for (std::uint32_t i = 0; i < section_count; ++i) {
@@ -607,12 +646,23 @@ std::vector<RawSection> read_sections(std::span<const std::byte> bytes,
     if (offset > bytes.size() || size > bytes.size() - offset) {
       throw SerializeError("section " + tag_name(tag) + ": escapes the file");
     }
+    if (offset < end) {
+      throw SerializeError("section " + tag_name(tag) +
+                           ": overlaps the table or the previous section");
+    }
+    if (!all_zero(bytes.subspan(end, offset - end))) {
+      throw SerializeError("section " + tag_name(tag) + ": padding before it is not zero");
+    }
     const auto payload = bytes.subspan(offset, size);
-    if (checksum_of(payload) != checksum) {
+    if (package_checksum(payload) != checksum) {
       throw SerializeError("section " + tag_name(tag) + ": checksum mismatch (corrupted)");
     }
+    end = offset + size;
     sections.push_back(RawSection{tag, payload});
     if (info) info->push_back(SectionInfo{tag_name(tag), offset, size, checksum});
+  }
+  if (!all_zero(bytes.subspan(end))) {
+    throw SerializeError("trailing bytes after the last section are not zero");
   }
   return sections;
 }
@@ -638,6 +688,35 @@ std::span<const std::byte> require_section(const std::vector<RawSection>& sectio
 }
 
 }  // namespace
+
+std::uint64_t package_checksum(std::span<const std::byte> bytes) {
+  const std::byte* p = bytes.data();
+  const std::size_t n = bytes.size();
+  // xxHash64's lane seeds for seed 0.
+  std::uint64_t v0 = kPrime1 + kPrime2;
+  std::uint64_t v1 = kPrime2;
+  std::uint64_t v2 = 0;
+  std::uint64_t v3 = 0 - kPrime1;
+  std::size_t i = 0;
+  for (; n - i >= 32; i += 32) {
+    v0 = lane_round(v0, load_le64(p + i));
+    v1 = lane_round(v1, load_le64(p + i + 8));
+    v2 = lane_round(v2, load_le64(p + i + 16));
+    v3 = lane_round(v3, load_le64(p + i + 24));
+  }
+  // With the other three lanes fixed, the sum is a bijection of each.
+  std::uint64_t h = std::rotl(v0, 1) + std::rotl(v1, 7) + std::rotl(v2, 12) + std::rotl(v3, 18);
+  for (; i < n; ++i) {
+    h = std::rotl(h ^ (static_cast<std::uint64_t>(p[i]) * kPrime5), 11) * kPrime1;
+  }
+  h += n;
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
+  return h;
+}
 
 std::vector<std::byte> save_model_bytes(const compile::CompiledModel& model) {
   model.graph.validate();
@@ -685,20 +764,22 @@ std::vector<std::byte> save_model_bytes(const compile::CompiledModel& model) {
   out.u64(file_size);
   out.u32(static_cast<std::uint32_t>(sections.size()));
   out.u32(0);
-  out.u64(0);  // file checksum, patched below once the image is complete
+  out.u64(0);  // header checksum, patched below once the table is complete
   for (std::size_t i = 0; i < sections.size(); ++i) {
     out.u32(sections[i].tag);
     out.u32(0);
     out.u64(offsets[i]);
     out.u64(sections[i].payload.size());
-    out.u64(checksum_of(sections[i].payload));
+    out.u64(package_checksum(sections[i].payload));
   }
+  const std::size_t table_end = out.size();
   for (std::size_t i = 0; i < sections.size(); ++i) {
     while (out.size() < offsets[i]) out.u8(0);
     out.raw(sections[i].payload.data(), sections[i].payload.size());
   }
   std::vector<std::byte> image = out.take();
-  const std::uint64_t checksum = file_checksum(image);
+  const std::uint64_t checksum =
+      header_checksum(std::span<const std::byte>(image).first(table_end));
   for (int i = 0; i < 8; ++i) {
     image[kChecksumOffset + static_cast<std::size_t>(i)] =
         static_cast<std::byte>((checksum >> (8 * i)) & 0xFF);
@@ -724,28 +805,33 @@ namespace {
 /// i8 consts and packed panels borrow from `bytes`, which the caller
 /// then must keep alive. Validation is identical either way.
 compile::CompiledModel load_model_image(std::span<const std::byte> bytes, bool zero_copy) {
-  const std::vector<RawSection> sections = read_sections(bytes, nullptr);
+  std::vector<RawSection> sections;
+  {
+    OBS_SPAN("serialize.verify");
+    sections = read_sections(bytes, nullptr);
+  }
 
   compile::CompiledModel model;
   {
+    OBS_SPAN("serialize.graph");
     ByteReader r(require_section(sections, kTagGraph), "GRPH");
     model.graph = read_graph(r, require_section(sections, kTagConst), zero_copy);
   }
   {
+    OBS_SPAN("serialize.plan");
     ByteReader r(require_section(sections, kTagPlan), "PLAN");
     model.plan = read_plan(r);
+    // Plan/arena invariants re-derived from the loaded graph: a package
+    // whose plan cannot be proven safe never reaches an Executor.
+    try {
+      rt::check_plan(model.graph, model.plan);
+    } catch (const std::exception& e) {
+      throw SerializeError(std::string("PLAN: ") + e.what());
+    }
   }
   {
     ByteReader r(require_section(sections, kTagReport), "RPRT");
     model.report = read_report(r);
-  }
-
-  // Plan/arena invariants re-derived from the loaded graph: a package
-  // whose plan cannot be proven safe never reaches an Executor.
-  try {
-    rt::check_plan(model.graph, model.plan);
-  } catch (const std::exception& e) {
-    throw SerializeError(std::string("PLAN: ") + e.what());
   }
 
   // Cross-section consistency: the report must describe this graph and
@@ -770,6 +856,7 @@ compile::CompiledModel load_model_image(std::span<const std::byte> bytes, bool z
   // PACK: packed kernel weight layouts. Optional — packages written
   // before the section existed (or by a writer with layouts this
   // reader doesn't know) simply lack usable entries.
+  OBS_SPAN("serialize.pack");
   if (const RawSection* pack = find_section(sections, kTagPack)) {
     ByteReader r(pack->payload, "PACK");
     model.packed = read_pack(r, require_section(sections, kTagConst), model.graph, zero_copy);
@@ -796,7 +883,14 @@ compile::CompiledModel load_model_image(std::span<const std::byte> bytes, bool z
 std::vector<std::byte> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in.good()) throw SerializeError("cannot open " + path);
+  // A directory opens, and tellg() then reports a huge size: only
+  // regular files are packages.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    throw SerializeError(path + " is not a regular file");
+  }
   const std::streamsize size = in.tellg();
+  if (size < 0) throw SerializeError("cannot size " + path);
   in.seekg(0);
   std::vector<std::byte> bytes(static_cast<std::size_t>(size));
   in.read(reinterpret_cast<char*>(bytes.data()), size);
@@ -826,9 +920,9 @@ std::shared_ptr<const MappedPackage> MappedPackage::map(const std::string& path)
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) throw SerializeError("cannot open " + path);
   struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) || st.st_size <= 0) {
     ::close(fd);
-    throw SerializeError("cannot stat " + path);
+    throw SerializeError(path + " is not a non-empty regular file");
   }
   const auto size = static_cast<std::size_t>(st.st_size);
   void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
@@ -915,7 +1009,7 @@ std::string PackageInfo::to_string() const {
      << ", written by " << producer << " @ " << git_sha << "\n";
   for (const SectionInfo& s : sections) {
     char line[96];
-    std::snprintf(line, sizeof(line), "  %s  %8llu B at %8llu  fnv64 %016llx", s.tag.c_str(),
+    std::snprintf(line, sizeof(line), "  %s  %8llu B at %8llu  checksum %016llx", s.tag.c_str(),
                   static_cast<unsigned long long>(s.size),
                   static_cast<unsigned long long>(s.offset),
                   static_cast<unsigned long long>(s.checksum));

@@ -13,9 +13,19 @@
 //
 //   header   magic "MNASPKG\0" | u32 format_version | u32 endian tag
 //            0x01020304 | u64 file_size | u32 section_count | u32 pad
+//            | u64 header checksum
 //   table    section_count x { u32 tag | u32 pad | u64 offset
-//            | u64 size | u64 fnv1a64 checksum }
+//            | u64 size | u64 package_checksum of the payload }
 //   payload  sections, each zero-padded to a 64-byte file offset
+//
+// Integrity is one pass over the file (format version 2). The header
+// checksum is package_checksum over the header and table, with its own
+// field read as zero; the table in turn carries every section's
+// checksum. Sections must ascend through the file without overlapping
+// the table or each other, and every byte outside the header, the
+// table and the sections (the padding) must be zero. Each file byte is
+// thus verified exactly once: by the header checksum, by its section's
+// checksum, or by the zero check. Version 1 packages are rejected.
 //
 // Sections (unknown tags are ignored for forward compatibility; the
 // format version only bumps on incompatible layout changes):
@@ -33,12 +43,13 @@
 //         Packages without it (or with layout tags this reader doesn't
 //         know) load fine and repack from the canonical weights.
 //
-// The loader is fail-closed: every offset/size is bounds-checked,
-// section checksums must match (any single flipped byte is rejected),
-// the graph is re-validated node by node (declared output types must
-// equal re-inferred types), and the memory plan's liveness and overlap
-// invariants are re-derived from the loaded graph before an Executor
-// ever sees the model. A package that loads is a package that runs.
+// The loader is fail-closed: every offset/size is bounds-checked, the
+// checksums and the zero check must hold (any single changed byte is
+// rejected), the graph is re-validated node by node (declared output
+// types must equal re-inferred types), and the memory plan's liveness
+// and overlap invariants are re-derived from the loaded graph before an
+// Executor ever sees the model. A package that loads is a package that
+// runs.
 #pragma once
 
 #include <cstdint>
@@ -52,15 +63,26 @@
 
 namespace micronas::serialize {
 
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr int kConstAlignment = 64;  // mmap/flash-friendly
+
+/// The package checksum: four independent 64-bit lanes over the
+/// little-endian 8-byte words of each 32-byte block, then the byte
+/// tail, the length and a final avalanche. Every step is a bijection of
+/// the running state, so changing any one byte of `bytes` always
+/// changes the value. The lane round and the avalanche are xxHash64's;
+/// the lane merge and the tail are not, so the value is not XXH64's.
+/// Words are read with memcpy and byte-swapped on big-endian hosts, so
+/// the value depends neither on the host byte order nor on the
+/// alignment of `bytes`.
+std::uint64_t package_checksum(std::span<const std::byte> bytes);
 
 /// Section table entry as read back from a package header.
 struct SectionInfo {
   std::string tag;            // four-character code, e.g. "GRPH"
   std::uint64_t offset = 0;   // from the start of the file
   std::uint64_t size = 0;     // payload bytes (before padding)
-  std::uint64_t checksum = 0; // fnv1a64 over the payload
+  std::uint64_t checksum = 0; // package_checksum over the payload
 };
 
 /// Header + section table peek (no graph reconstruction): what a
@@ -96,7 +118,7 @@ compile::CompiledModel load_model(const std::string& path);
 /// (zero-copy weights — this is what the CNST section's 64-byte
 /// file-relative alignment exists for), while the graph structure,
 /// plan and report are reconstructed through exactly the same
-/// fail-closed validation as load_model (header/section checksums,
+/// fail-closed validation as load_model (checksums, zero padding,
 /// attr range checks, Graph::from_nodes re-inference, rt::check_plan).
 /// A corrupted or truncated file throws SerializeError at map() time —
 /// the declared-file-size check runs against the actual mapping length
@@ -119,8 +141,9 @@ class MappedPackage {
   const compile::CompiledModel& model() const { return model_; }
   const std::string& path() const { return path_; }
   std::uint64_t file_bytes() const { return size_; }
-  /// The package header's whole-file fnv1a64 — the content identity a
-  /// registry keys on (two byte-identical files share it).
+  /// The header checksum, which covers the header and the section
+  /// table and through the table every section's checksum: the content
+  /// identity a registry keys on (two byte-identical files share it).
   std::uint64_t content_checksum() const { return checksum_; }
   /// Canonical genotype string from META (registry key half two).
   const std::string& arch() const { return arch_; }
@@ -153,7 +176,7 @@ class MappedPackage {
 };
 
 /// Header/section-table/META inspection without reconstructing the
-/// graph (still checksum-verifies the META section it reads).
+/// graph (still runs the full integrity pass over every section).
 PackageInfo read_package_info(std::span<const std::byte> bytes);
 PackageInfo read_package_info_file(const std::string& path);
 

@@ -4,7 +4,8 @@
 // handles. Each load mmaps the package read-only
 // (serialize::MappedPackage — zero-copy weights), runs the full
 // fail-closed validation, then dedupes on the package identity
-// (arch + whole-file fnv1a64): a second load of byte-identical content
+// (arch + header checksum, which covers the section table and through
+// it every section's checksum): a second load of byte-identical content
 // discards its transient mapping and returns the FIRST load's entry,
 // so however many callers hold the model, there is exactly one mapping
 // and one CompiledModel in the process. The model handle is a
@@ -75,8 +76,8 @@ class ModelRegistry {
   std::vector<std::string> keys() const;
   std::size_t size() const;
 
-  /// The identity a package dedupes on: "<arch>@<16-hex fnv1a64>" of
-  /// the validated file content.
+  /// The identity a package dedupes on: "<arch>@<16-hex header
+  /// checksum>" of the validated file (MappedPackage::content_checksum).
   static std::string key_of(const serialize::MappedPackage& package);
 
  private:

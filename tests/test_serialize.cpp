@@ -4,13 +4,19 @@
 //     executes to bit-identical logits, across 25 sampled genotypes;
 //   * every truncation and every single-byte corruption of a package
 //     fails closed with SerializeError (never UB — this file also runs
-//     under the ASan/UBSan CI job);
+//     under the ASan/UBSan CI job), including the one-pass integrity
+//     rules: every header, table and padding byte and both ends of
+//     every section are flipped, and re-forged tables whose sections
+//     overlap or descend are rejected;
+//   * package_checksum changes on every single-bit flip and does not
+//     depend on alignment, and a known answer pins its value;
 //   * the fixed golden scenario's reloaded logits hash equals the
 //     logits_hash recorded in tests/golden/compile_report.golden, and
 //     the package layout matches tests/golden/serialize_package.golden
 //     (regenerate intentional changes with scripts/update_golden.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -174,26 +180,67 @@ TEST(Serialize, EveryTruncationFailsClosed) {
   }
 }
 
-TEST(Serialize, EverySingleByteFlipFailsClosed) {
-  const compile::CompiledModel model = compile_small(nb201::Genotype::from_index(888));
-  const std::vector<std::byte> bytes = serialize::save_model_bytes(model);
-
-  // Section checksums make any payload flip detectable; header and
-  // table flips trip magic/version/bounds/checksum checks instead.
-  const std::size_t stride = std::max<std::size_t>(1, bytes.size() / 499);
-  for (std::size_t pos = 0; pos < bytes.size(); pos += stride) {
-    std::vector<std::byte> corrupted = bytes;
-    corrupted[pos] ^= std::byte{0xFF};
-    EXPECT_THROW(serialize::load_model_bytes(corrupted), SerializeError)
-        << "flipped byte at " << pos << " must fail closed";
-  }
-}
-
 TEST(Serialize, RejectsGarbageAndEmptyInput) {
   EXPECT_THROW(serialize::load_model_bytes({}), SerializeError);
   std::vector<std::byte> junk(4096, std::byte{0x5A});
   EXPECT_THROW(serialize::load_model_bytes(junk), SerializeError);
   EXPECT_THROW(serialize::load_model("/nonexistent/path/model.mnpkg"), SerializeError);
+}
+
+TEST(Serialize, DirectoriesFailClosed) {
+  // A directory opens as a stream whose size reads as huge, so the
+  // loader must reject it before allocating that size.
+  const std::string dir = ::testing::TempDir();
+  EXPECT_THROW(serialize::load_model(dir), SerializeError);
+  EXPECT_THROW(serialize::read_package_info_file(dir), SerializeError);
+  EXPECT_THROW(serialize::MappedPackage::map(dir), SerializeError);
+}
+
+// ------------------------------------------------------ package checksum
+
+std::vector<std::byte> seeded_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::byte> bytes(n);
+  for (std::byte& b : bytes) b = static_cast<std::byte>(rng.uniform_int(0, 255));
+  return bytes;
+}
+
+TEST(PackageChecksum, EverySingleBitFlipChangesTheValue) {
+  // Lengths 0..130 cover zero to four full 32-byte lane blocks and
+  // every tail length.
+  for (std::size_t len = 0; len <= 130; ++len) {
+    std::vector<std::byte> bytes = seeded_bytes(len, 1000 + len);
+    const std::uint64_t intact = serialize::package_checksum(bytes);
+    for (std::size_t bit = 0; bit < len * 8; ++bit) {
+      const auto mask = static_cast<std::byte>(1U << (bit % 8));
+      bytes[bit / 8] ^= mask;
+      EXPECT_NE(serialize::package_checksum(bytes), intact) << "length " << len << " bit " << bit;
+      bytes[bit / 8] ^= mask;
+    }
+  }
+}
+
+TEST(PackageChecksum, ValueIsIndependentOfAlignment) {
+  const std::vector<std::byte> bytes = seeded_bytes(130, 7);
+  std::vector<std::byte> shifted(bytes.size() + 8);
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    const std::uint64_t want = serialize::package_checksum(std::span(bytes).first(len));
+    for (std::size_t start = 0; start < 8; ++start) {
+      std::copy_n(bytes.begin(), len, shifted.begin() + static_cast<std::ptrdiff_t>(start));
+      EXPECT_EQ(serialize::package_checksum(std::span(shifted).subspan(start, len)), want)
+          << "length " << len << " start " << start;
+    }
+  }
+}
+
+TEST(PackageChecksum, KnownAnswer) {
+  // Pins the format: a refactor, a compiler or a big-endian host that
+  // computes another value cannot read or write packages. 100 bytes run
+  // three blocks through the lanes and leave a four-byte tail.
+  std::vector<std::byte> ramp(100);
+  for (std::size_t i = 0; i < ramp.size(); ++i) ramp[i] = static_cast<std::byte>(i * 37 + 11);
+  EXPECT_EQ(serialize::package_checksum(ramp), 0x918831bdde2485e5ULL);
+  EXPECT_EQ(serialize::package_checksum({}), 0x9090306c6e91ed59ULL);
 }
 
 // ------------------------------------------------- mmap-backed loading
@@ -258,20 +305,55 @@ TEST(Serialize, MappedTruncationsFailClosed) {
   std::remove(path.c_str());
 }
 
-TEST(Serialize, MappedByteFlipsFailClosed) {
-  const compile::CompiledModel model = compile_small(nb201::Genotype::from_index(888));
-  const std::vector<std::byte> bytes = serialize::save_model_bytes(model);
-  const std::string path = ::testing::TempDir() + "micronas_mapped_flip.mnpkg";
+/// Expects `bytes` to fail closed through load_model_bytes and through
+/// MappedPackage::map of a file holding them.
+void expect_fails_closed_both_ways(const std::vector<std::byte>& bytes, const std::string& what) {
+  EXPECT_THROW(serialize::load_model_bytes(bytes), SerializeError) << what;
+  const std::string path = ::testing::TempDir() + "micronas_structure.mnpkg";
+  write_file_bytes(path, bytes);
+  EXPECT_THROW(serialize::MappedPackage::map(path), SerializeError) << "mapped " << what;
+  std::remove(path.c_str());
+}
 
-  const std::size_t stride = std::max<std::size_t>(1, bytes.size() / 101);
-  for (std::size_t pos = 0; pos < bytes.size(); pos += stride) {
-    std::vector<std::byte> corrupted = bytes;
+/// Flips each byte at `positions` in turn and expects both loaders to
+/// reject it. The file is written once and patched in place, so a
+/// flip costs two one-byte writes rather than a whole-file write.
+void expect_flips_fail_closed(const std::vector<std::byte>& bytes,
+                              const std::vector<std::size_t>& positions) {
+  const std::string path = ::testing::TempDir() + "micronas_flips.mnpkg";
+  write_file_bytes(path, bytes);
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.good()) << "cannot reopen " << path;
+  const auto poke = [&](std::size_t pos, std::byte value) {
+    file.seekp(static_cast<std::streamoff>(pos));
+    file.write(reinterpret_cast<const char*>(&value), 1);
+    file.flush();
+  };
+  std::vector<std::byte> corrupted = bytes;
+  for (const std::size_t pos : positions) {
     corrupted[pos] ^= std::byte{0xFF};
-    write_file_bytes(path, corrupted);
+    EXPECT_THROW(serialize::load_model_bytes(corrupted), SerializeError)
+        << "flipped byte at " << pos << " must fail closed";
+    poke(pos, corrupted[pos]);
     EXPECT_THROW(serialize::MappedPackage::map(path), SerializeError)
         << "mapped flipped byte at " << pos << " must fail closed";
+    corrupted[pos] = bytes[pos];
+    poke(pos, bytes[pos]);
   }
+  file.close();
   std::remove(path.c_str());
+}
+
+TEST(Serialize, EverySingleByteFlipFailsClosed) {
+  const compile::CompiledModel model = compile_small(nb201::Genotype::from_index(888));
+  const std::vector<std::byte> bytes = serialize::save_model_bytes(model);
+
+  // Strided through the whole file; the SerializeIntegrity corpora
+  // below flip every byte outside the section interiors.
+  std::vector<std::size_t> positions;
+  const std::size_t stride = std::max<std::size_t>(1, bytes.size() / 499);
+  for (std::size_t pos = 0; pos < bytes.size(); pos += stride) positions.push_back(pos);
+  expect_flips_fail_closed(bytes, positions);
 }
 
 TEST(Serialize, MappedRejectsMissingAndEmptyFiles) {
@@ -285,11 +367,12 @@ TEST(Serialize, MappedRejectsMissingAndEmptyFiles) {
 // ------------------------------------------------------ forged packages
 //
 // The truncation/byte-flip corpus above is caught by checksums, but
-// fnv1a64 is unkeyed: a real attacker patches a field and recomputes
-// every checksum. These tests mount exactly that attack — the forged
-// package passes all integrity gates, so hostile values must fail
-// closed on semantic validation (SerializeError), never reach UB
-// (SIGFPE in conv_out_size, signed overflow, unbounded allocation).
+// the checksums are unkeyed: a real attacker patches a field and
+// recomputes every checksum. These tests mount exactly that attack —
+// the forged package passes all integrity gates, so hostile values
+// must fail closed on semantic validation (SerializeError), never
+// reach UB (SIGFPE in conv_out_size, signed overflow, unbounded
+// allocation).
 
 void poke_le(std::vector<std::byte>& bytes, std::size_t at, std::uint64_t value, int width) {
   for (int i = 0; i < width; ++i) {
@@ -297,13 +380,16 @@ void poke_le(std::vector<std::byte>& bytes, std::size_t at, std::uint64_t value,
   }
 }
 
-/// Recompute all section checksums and the file checksum (which skips
-/// its own u64 at byte 32; table of 32-byte entries starts at 40 — the
-/// header layout documented in serialize.hpp).
+// Header layout documented in serialize.hpp: file size at byte 16,
+// header checksum at 32, table of 32-byte entries from 40.
+constexpr std::size_t kFileSizeAt = 16;
+constexpr std::size_t kChecksumAt = 32;
+constexpr std::size_t kTableAt = 40;
+constexpr std::size_t kEntryBytes = 32;
+
+/// Recompute all section checksums, then the header checksum over the
+/// header and table with its own field read as zero.
 void reforge_checksums(std::vector<std::byte>& bytes) {
-  constexpr std::size_t kChecksumAt = 32;
-  constexpr std::size_t kTableAt = 40;
-  constexpr std::size_t kEntryBytes = 32;
   serialize::ByteReader header(bytes, "header");
   header.skip(24);
   const std::uint32_t section_count = header.u32();
@@ -314,11 +400,13 @@ void reforge_checksums(std::vector<std::byte>& bytes) {
     entry.skip(8);  // tag, reserved
     const std::uint64_t offset = entry.u64();
     const std::uint64_t size = entry.u64();
-    poke_le(bytes, entry_at + 24, fnv1a64(bytes.data() + offset, size), 8);
+    poke_le(bytes, entry_at + 24,
+            serialize::package_checksum(std::span(bytes).subspan(offset, size)), 8);
   }
-  std::uint64_t h = fnv1a64(kFnv1a64Basis, bytes.data(), kChecksumAt);
-  h = fnv1a64(h, bytes.data() + kChecksumAt + 8, bytes.size() - (kChecksumAt + 8));
-  poke_le(bytes, kChecksumAt, h, 8);
+  const std::size_t table_end = kTableAt + section_count * kEntryBytes;
+  std::vector<std::byte> head(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(table_end));
+  poke_le(head, kChecksumAt, 0, 8);
+  poke_le(bytes, kChecksumAt, serialize::package_checksum(head), 8);
 }
 
 serialize::SectionInfo section_named(const std::vector<std::byte>& bytes,
@@ -453,6 +541,106 @@ TEST(SerializeForged, HostileArenaDemandFailsClosed) {
   poke_le(forged, report_at + 8, huge, 8);    // report.naive_arena_bytes
   reforge_checksums(forged);
   EXPECT_THROW(serialize::load_model_bytes(forged), SerializeError);
+}
+
+// ------------------------------------------------ one-pass integrity
+//
+// Each file byte is verified once: header and table by the header
+// checksum, a section by its own checksum, and every other byte by the
+// zero check, with sections ascending and never overlapping. These
+// corpora cover the bytes and tables those rules exist for, through
+// both loaders. The strided corpora above cover the section interiors.
+
+TEST(SerializeIntegrity, EveryByteOutsideSectionPayloadsIsVerified) {
+  const std::vector<std::byte> bytes =
+      serialize::save_model_bytes(compile_small(nb201::Genotype::from_index(888)));
+  const std::vector<serialize::SectionInfo> sections = serialize::read_package_info(bytes).sections;
+
+  // Header, table and every padding gap: all bytes not in a payload.
+  std::vector<std::size_t> positions;
+  std::size_t gap_bytes = 0;
+  std::size_t end = kTableAt + sections.size() * kEntryBytes;
+  for (std::size_t pos = 0; pos < end; ++pos) positions.push_back(pos);
+  for (const serialize::SectionInfo& s : sections) {
+    for (std::size_t pos = end; pos < s.offset; ++pos) positions.push_back(pos);
+    gap_bytes += s.offset - end;
+    end = s.offset + s.size;
+  }
+  ASSERT_EQ(end, bytes.size());
+  ASSERT_GT(gap_bytes, 0u) << "no padding to flip — the corpus is vacuous";
+  expect_flips_fail_closed(bytes, positions);
+}
+
+TEST(SerializeIntegrity, BothEndsOfEverySectionAreVerified) {
+  const std::vector<std::byte> bytes =
+      serialize::save_model_bytes(compile_small(nb201::Genotype::from_index(888)));
+  std::vector<std::size_t> positions;
+  for (const serialize::SectionInfo& s : serialize::read_package_info(bytes).sections) {
+    const std::size_t edge = std::min<std::size_t>(64, s.size);
+    for (std::size_t k = 0; k < edge; ++k) {
+      positions.push_back(s.offset + k);
+      positions.push_back(s.offset + s.size - 1 - k);
+    }
+  }
+  expect_flips_fail_closed(bytes, positions);
+}
+
+TEST(SerializeIntegrity, ByteAppendedAfterTheLastSectionFailsClosed) {
+  const std::vector<std::byte> bytes =
+      serialize::save_model_bytes(compile_small(nb201::Genotype::from_index(888)));
+  // As appended, the header's declared file size no longer matches.
+  std::vector<std::byte> appended = bytes;
+  appended.push_back(std::byte{0x5A});
+  expect_fails_closed_both_ways(appended, "appended byte");
+  // Declaring the longer file and re-forging the header checksum leaves
+  // a nonzero byte outside every section: the zero check rejects it.
+  poke_le(appended, kFileSizeAt, appended.size(), 8);
+  reforge_checksums(appended);
+  expect_fails_closed_both_ways(appended, "appended byte, re-forged header");
+}
+
+TEST(SerializeIntegrity, OverlappingOrDescendingSectionsFailClosed) {
+  const std::vector<std::byte> baseline =
+      serialize::save_model_bytes(compile_small(nb201::Genotype::from_index(888)));
+  const std::vector<serialize::SectionInfo> sections =
+      serialize::read_package_info(baseline).sections;
+  ASSERT_EQ(sections.back().tag, "PACK");
+  const auto entry_at = [](std::size_t i) { return kTableAt + i * kEntryBytes; };
+
+  // Every forgery keeps all checksums valid (reforge_checksums hashes
+  // whatever window the table names) and leaves no nonzero byte
+  // outside the named windows, so only the ordering rule rejects it.
+  std::vector<std::pair<std::string, std::vector<std::byte>>> forged;
+  {
+    // Table entries 1 and 2 swapped: section offsets descend.
+    std::vector<std::byte> f = baseline;
+    std::swap_ranges(f.begin() + static_cast<std::ptrdiff_t>(entry_at(1)),
+                     f.begin() + static_cast<std::ptrdiff_t>(entry_at(2)),
+                     f.begin() + static_cast<std::ptrdiff_t>(entry_at(2)));
+    forged.emplace_back("descending offsets", std::move(f));
+  }
+  // The optional PACK section zeroed and its entry turned into an
+  // unknown tag over another window; the loader would skip the unknown
+  // section and repack the weights.
+  const auto unknown_section_over = [&](std::uint64_t offset, std::uint64_t size) {
+    const serialize::SectionInfo& pack = sections.back();
+    const std::size_t entry = entry_at(sections.size() - 1);
+    std::vector<std::byte> f = baseline;
+    std::fill_n(f.begin() + static_cast<std::ptrdiff_t>(pack.offset), pack.size, std::byte{0});
+    poke_le(f, entry, 0x5A5A5A5Au, 4);  // "ZZZZ"
+    poke_le(f, entry + 8, offset, 8);
+    poke_le(f, entry + 16, size, 8);
+    return f;
+  };
+  const serialize::SectionInfo& rprt = sections[sections.size() - 2];
+  forged.emplace_back("section overlapping the previous one",
+                      unknown_section_over(rprt.offset, rprt.size));
+  forged.emplace_back("section over the header", unknown_section_over(0, 8));
+
+  for (auto& [what, f] : forged) {
+    reforge_checksums(f);
+    expect_fails_closed_both_ways(f, what);
+  }
 }
 
 // --------------------------------------------- PLAN alias / strip tail
@@ -591,8 +779,6 @@ TEST(Serialize, LegacyPlanWithoutTailLoads) {
       plan_tail_offset(std::span<const std::byte>(legacy).subspan(plan.offset, plan.size));
   ASSERT_EQ(plan.size - tail, 16u);  // empty tail: two zero counts + zero scratch
 
-  constexpr std::size_t kTableAt = 40;
-  constexpr std::size_t kEntryBytes = 32;
   const std::vector<serialize::SectionInfo> sections =
       serialize::read_package_info(legacy).sections;
   for (std::size_t i = 0; i < sections.size(); ++i) {
@@ -676,8 +862,6 @@ TEST(SerializePack, LegacyPackageWithoutPackIsRepackedOnLoad) {
     if (info.sections[i].tag == "PACK") pack_index = i;
   }
   ASSERT_LT(pack_index, info.sections.size());
-  constexpr std::size_t kTableAt = 40;
-  constexpr std::size_t kEntryBytes = 32;
   std::vector<std::byte> legacy = baseline;
   poke_le(legacy, kTableAt + pack_index * kEntryBytes, 0x5A5A5A5Au, 4);  // "ZZZZ"
   reforge_checksums(legacy);
@@ -774,7 +958,7 @@ std::string package_summary() {
     if (s.tag == "GRPH" || s.tag == "CNST" || s.tag == "PLAN") {
       char sum[32];
       std::snprintf(sum, sizeof(sum), "%016llx", static_cast<unsigned long long>(s.checksum));
-      ss << " fnv64 " << sum;
+      ss << " checksum " << sum;
     }
     ss << "\n";
   }
