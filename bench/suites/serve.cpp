@@ -149,12 +149,11 @@ double burst_ms(serve::ModelServer& server, const std::vector<Tensor>& inputs, i
 
 // Batched server vs a serial request loop, same loaded model and
 // inputs; wall time of the case tracks the batched pass
-// (items_processed counts its requests). The server runs the default
-// one-invocation path (one BatchedExecutor::run_batch per coalesced
-// batch); pass fanout=1 to bench the legacy per-slot fan-out instead.
-// The batched logits are asserted bit-identical to serial in
-// tests/test_serve.cpp and tests/test_batched_executor.cpp; here only
-// the throughput race is measured.
+// (items_processed counts its requests). The server runs one
+// Executor::run_batch per coalesced batch. The batched logits are
+// asserted bit-identical to serial in tests/test_serve.cpp and
+// tests/test_batched_executor.cpp; here only the throughput race is
+// measured.
 BENCH_CASE_OPTS(serve, batched_vs_serial,
                 bench::CaseOptions{.warmup = 1, .min_reps = 3, .max_reps = 8, .tier = 1}) {
   const compile::CompilerOptions options = serve_options(state);
@@ -177,7 +176,6 @@ BENCH_CASE_OPTS(serve, batched_vs_serial,
   sopts.max_batch = max_batch;
   sopts.max_wait_us = 2000;
   sopts.threads = threads;
-  sopts.per_slot_fanout = state.param_int("fanout", 0) != 0;
   serve::ModelServer server(serialize::load_model_bytes(bytes), sopts);
 
   double batched_ms = 1e300;
@@ -189,59 +187,6 @@ BENCH_CASE_OPTS(serve, batched_vs_serial,
   state.counter("batched_rps", 1000.0 * requests / batched_ms);
   state.counter("batch_speedup", serial_ms / batched_ms);
   state.counter("mean_batch", stats.mean_batch);
-  state.set_items_processed(requests);
-}
-
-// The tentpole head-to-head: one-invocation batching (a coalesced
-// batch = ONE BatchedExecutor::run_batch, int8-GEMM M widened to the
-// whole batch) vs the legacy per-slot fan-out (one Executor per slot
-// over the shared pool) on the same model, inputs and thread budget.
-// batch_speedup = fanout wall / one-invocation wall; > 1 means one
-// widened invocation beats running the graph max_batch times. The
-// default model is deliberately small (input=8): what one-invocation
-// removes is the per-invocation cost (graph walks, kernel launches,
-// pool dispatches), so the case measures the overhead-bound serving
-// regime; on multi-core hosts the margin additionally includes the
-// widened GEMM's better parallel scaling. Wall time of the case
-// tracks the one-invocation pass.
-BENCH_CASE_OPTS(serve, batched_one_invocation,
-                bench::CaseOptions{.warmup = 1, .min_reps = 6, .max_reps = 12, .tier = 1}) {
-  const compile::CompilerOptions options = serve_options(state, /*default_input=*/8);
-  const int requests = state.param_int("requests", 128);
-  const int max_batch = state.param_int("max_batch", 8);
-  const int threads = state.param_int("threads", 0);
-
-  const std::vector<std::byte> bytes =
-      serialize::save_model_bytes(compile::compile_genotype(serve_genotype(), options));
-  const std::vector<Tensor> inputs = serve_inputs(requests, options.macro.input_size);
-
-  serve::ServerOptions sopts;
-  sopts.max_batch = max_batch;
-  sopts.max_wait_us = 2000;
-  sopts.threads = threads;
-
-  serve::ServerOptions fanout_opts = sopts;
-  fanout_opts.per_slot_fanout = true;
-  serve::ModelServer fanout(serialize::load_model_bytes(bytes), fanout_opts);
-  serve::ModelServer batched(serialize::load_model_bytes(bytes), sopts);
-  burst_ms(fanout, inputs, 1);  // warm
-  burst_ms(batched, inputs, 1);
-
-  // Interleave the contestants inside each rep (min-of-pairs): both
-  // sides see the same share of ambient machine noise, so slow drift
-  // between two separate measurement phases cannot fake a winner
-  // either way.
-  double fanout_ms = 1e300;
-  double batched_ms = 1e300;
-  for (auto _ : state) {
-    fanout_ms = std::min(fanout_ms, burst_ms(fanout, inputs, 1));
-    batched_ms = std::min(batched_ms, burst_ms(batched, inputs, 1));
-  }
-
-  state.counter("fanout_rps", 1000.0 * requests / fanout_ms);
-  state.counter("one_invocation_rps", 1000.0 * requests / batched_ms);
-  state.counter("batch_speedup", fanout_ms / batched_ms);
-  state.counter("mean_batch", batched.stats().mean_batch);
   state.set_items_processed(requests);
 }
 

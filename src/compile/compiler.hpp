@@ -88,11 +88,12 @@ struct CompiledModel {
 
   /// Re-plan the activation arena at `batch_capacity`: the same graph
   /// and schedule with every buffer scaled to hold batch_capacity
-  /// samples — what a serving deployment hands rt::BatchedExecutor so a
-  /// coalesced batch is one executor invocation. batch_capacity == 1
-  /// reproduces `plan` (up to the alignment in `options`). The batch
-  /// capacity is a deployment choice, not a model property, so it is
-  /// not part of the serialized package; re-planning is pure and cheap.
+  /// samples — what a serving deployment hands an rt::Executor at that
+  /// batch capacity so a coalesced batch is one executor invocation.
+  /// batch_capacity == 1 reproduces `plan` (up to the alignment in
+  /// `options`). The batch capacity is a deployment choice, not a model
+  /// property, so it is not part of the serialized package; re-planning
+  /// is pure and cheap.
   rt::MemoryPlan plan_for_batch(int batch_capacity,
                                 rt::MemoryPlanOptions options = {}) const;
 };

@@ -43,10 +43,10 @@
 //     MICRONAS_PORTABLE builds or when no packed weights exist).
 //
 // Dispatch entry points (`qconv2d_auto`, `qlinear_auto`) are what
-// rt::Executor / rt::BatchedExecutor call; they fall back to the
-// scalar kernels whenever the table says so, so a build with
-// MICRONAS_PORTABLE=ON (no blocking assumptions, plain loops) behaves
-// identically through the same call sites.
+// rt::Executor calls; they fall back to the scalar kernels whenever
+// the table says so, so a build with MICRONAS_PORTABLE=ON (no
+// blocking assumptions, plain loops) behaves identically through the
+// same call sites.
 #pragma once
 
 #include <cstddef>

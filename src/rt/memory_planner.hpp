@@ -50,8 +50,8 @@ inline constexpr int kMaxPlanAlignment = 64;
 
 struct MemoryPlanOptions {
   int alignment = 16;  // in [1, kMaxPlanAlignment]
-  /// Plan every activation at `batch` times its graph size: the arena a
-  /// rt::BatchedExecutor compiled at batch capacity `batch` needs.
+  /// Plan every activation at `batch` times its graph size: the arena
+  /// an rt::Executor at batch capacity `batch` needs.
   /// Liveness is batch-invariant (the schedule does not change), so the
   /// batch-N plan is the batch-1 plan with every buffer scaled — a
   /// partial batch simply uses a prefix of each buffer.

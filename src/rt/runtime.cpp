@@ -14,8 +14,8 @@ namespace micronas::rt {
 
 namespace {
 
-/// Per-node Σ_k w[c,k] for kQConv2d / kQLinear (shared by Executor and
-/// BatchedExecutor; the kernels' zero-point correction term).
+/// Per-node Σ_k w[c,k] for kQConv2d / kQLinear (the kernels'
+/// zero-point correction term).
 std::vector<std::vector<std::int32_t>> compute_weight_sums(const ir::Graph& graph) {
   std::vector<std::vector<std::int32_t>> sums_by_node(static_cast<std::size_t>(graph.size()));
   for (const auto& node : graph.nodes()) {
@@ -40,8 +40,7 @@ std::vector<std::vector<std::int32_t>> compute_weight_sums(const ir::Graph& grap
 /// whichever of the scalar kernel's int8 im2col and the dot16 GEMM's
 /// int16 image + operand (qconv_gemm_scratch_bytes) is larger, since
 /// kernel selection happens per dispatch. Scales with each node's own
-/// batch dimension times `batch_mult` (the BatchedExecutor's capacity;
-/// 1 for Executor).
+/// batch dimension times `batch_mult` (the executor's batch capacity).
 std::size_t max_qconv_scratch_bytes(const ir::Graph& graph, int batch_mult) {
   std::size_t max_bytes = 0;
   for (const auto& node : graph.nodes()) {
@@ -60,6 +59,57 @@ std::size_t max_qconv_scratch_bytes(const ir::Graph& graph, int batch_mult) {
     max_bytes = std::max({max_bytes, scalar_bytes, gemm_bytes});
   }
   return max_bytes;
+}
+
+/// The unplanned layout: every value at its own aligned arena offset,
+/// so no two values ever share bytes (the plan's naive total).
+MemoryPlan disjoint_plan(const ir::Graph& graph) {
+  MemoryPlan plan;
+  for (const auto& node : graph.nodes()) {
+    if (node.is_const()) continue;
+    BufferPlacement b;
+    b.node_id = node.id;
+    b.offset = plan.arena_bytes;
+    b.size = node.type.bytes();
+    plan.buffers.push_back(b);
+    plan.arena_bytes += (b.size + kMaxPlanAlignment - 1) / kMaxPlanAlignment * kMaxPlanAlignment;
+  }
+  plan.naive_bytes = plan.arena_bytes;
+  return plan;
+}
+
+MemoryPlan plan_at_batch(const ir::Graph& graph, MemoryPlanOptions options, int batch) {
+  options.batch = batch;
+  return plan_memory(graph, options);
+}
+
+const std::byte* const_data(const ir::Node& node) {
+  switch (node.type.dtype) {
+    case ir::DType::kF32:
+      return reinterpret_cast<const std::byte*>(node.f32_data.data().data());
+    case ir::DType::kI8:
+      return reinterpret_cast<const std::byte*>(node.i8_data.data());
+    case ir::DType::kI32:
+      return reinterpret_cast<const std::byte*>(node.i32_data.data());
+  }
+  throw std::logic_error("Executor: unhandled constant dtype");
+}
+
+/// A kQConv2d node's geometry (batch through out_w) from its shapes.
+QConv2dArgs qconv_geometry(const ir::Graph& graph, const ir::Node& node) {
+  const Shape& x = graph.node(node.inputs[0]).type.shape;
+  QConv2dArgs a;
+  a.batch = x[0];
+  a.cin = x[1];
+  a.h = x[2];
+  a.w = x[3];
+  a.cout = node.type.shape[1];
+  a.kernel = node.conv.kernel;
+  a.stride = node.conv.stride;
+  a.pad = node.conv.pad;
+  a.out_h = node.type.shape[2];
+  a.out_w = node.type.shape[3];
+  return a;
 }
 
 /// Row-strip streamed qconv2d / qavg_pool over ONE sample whose output
@@ -185,20 +235,8 @@ std::vector<OpProfileEntry> build_profile_table(const ir::Graph& graph, const Me
     }
     if (const StripStream* strip = plan.find_strip(node.id)) e.strip_h = strip->strip_h;
     if (node.op == ir::OpKind::kQConv2d) {
-      const Shape& x = graph.node(node.inputs[0]).type.shape;
-      QConv2dArgs a{};
-      a.batch = x[0];
-      a.cin = x[1];
-      a.h = x[2];
-      a.w = x[3];
-      a.cout = node.type.shape[1];
-      a.kernel = node.conv.kernel;
-      a.stride = node.conv.stride;
-      a.pad = node.conv.pad;
-      a.out_h = node.type.shape[2];
-      a.out_w = node.type.shape[3];
-      e.kernel = qconv_kernel_name(
-          select_qconv_kernel(a, packed ? packed->find(node.id) : nullptr));
+      e.kernel = qconv_kernel_name(select_qconv_kernel(qconv_geometry(graph, node),
+                                                       packed ? packed->find(node.id) : nullptr));
     } else if (node.op == ir::OpKind::kQLinear) {
       const Shape& x = graph.node(node.inputs[0]).type.shape;
       QLinearArgs a{};
@@ -212,9 +250,8 @@ std::vector<OpProfileEntry> build_profile_table(const ir::Graph& graph, const Me
   return table;
 }
 
-/// Span + optional timing around one node dispatch; shared by both
-/// executors' walk loops. Disabled tracing and profiling cost one
-/// predicted branch each.
+/// Span + optional timing around one node dispatch. Disabled tracing
+/// and profiling cost one predicted branch each.
 class NodeScope {
  public:
   NodeScope(OpProfileEntry& entry, bool profile)
@@ -246,308 +283,39 @@ class NodeScope {
 }  // namespace
 
 Executor::Executor(const ir::Graph& graph, const MemoryPlan& plan, ExecOptions options)
-    : graph_(graph), plan_(plan), planned_(true), options_(options) {
-  prepare();
-}
+    : Executor(graph, plan, 1, options) {}
 
 Executor::Executor(const ir::Graph& graph, ExecOptions options)
-    : graph_(graph), planned_(false), options_(options) {
-  prepare();
-}
+    : Executor(graph, disjoint_plan(graph), 1, options) {}
 
-void Executor::prepare() {
-  graph_.validate();
-  const ir::Node& out = graph_.node(graph_.output());
-  if (out.type.dtype != ir::DType::kF32) {
-    throw std::invalid_argument("Executor: graph must end in a f32 node (add a dequantize)");
-  }
-  if (graph_.node(graph_.input()).type.dtype != ir::DType::kF32) {
-    throw std::invalid_argument("Executor: graph input must be f32 (insert a quantize node)");
-  }
-  if (options_.threads != 1) pool_ = std::make_unique<ThreadPool>(options_.threads);
+Executor::Executor(const ir::Graph& graph, int batch_capacity, ExecOptions options,
+                   MemoryPlanOptions plan_options)
+    : Executor(graph, plan_at_batch(graph, plan_options, batch_capacity), batch_capacity,
+               options) {}
 
-  if (planned_) {
-    arena_.resize(static_cast<std::size_t>(plan_.arena_bytes));
-  } else {
-    private_buffers_.resize(static_cast<std::size_t>(graph_.size()));
-    for (const auto& node : graph_.nodes()) {
-      if (node.is_const()) continue;
-      private_buffers_[static_cast<std::size_t>(node.id)].resize(
-          static_cast<std::size_t>(node.type.bytes()));
-    }
-  }
-
-  weight_sums_ = compute_weight_sums(graph_);
-  columns_.resize(max_qconv_scratch_bytes(graph_, 1));
-  stream_scratch_.resize(static_cast<std::size_t>(plan_.stream_scratch_bytes));
-  if (options_.packed != nullptr) {
-    packed_ = options_.packed;
-  } else if (fast_kernels_enabled()) {
-    owned_packed_ = pack_graph_weights(graph_);
-    packed_ = &owned_packed_;
-  }
-  profile_ = build_profile_table(graph_, plan_, packed_);
-}
-
-std::byte* Executor::buffer(int node_id) {
-  return const_cast<std::byte*>(read_buffer(node_id));
-}
-
-const std::byte* Executor::read_buffer(int node_id) const {
-  const ir::Node& node = graph_.node(node_id);
-  if (node.is_const()) {
-    switch (node.type.dtype) {
-      case ir::DType::kF32:
-        return reinterpret_cast<const std::byte*>(node.f32_data.data().data());
-      case ir::DType::kI8:
-        return reinterpret_cast<const std::byte*>(node.i8_data.data());
-      case ir::DType::kI32:
-        return reinterpret_cast<const std::byte*>(node.i32_data.data());
-    }
-  }
-  if (planned_) {
-    const BufferPlacement* b = plan_.find(node_id);
-    if (!b) throw std::logic_error("Executor: node has no arena placement");
-    return arena_.data() + b->offset;
-  }
-  return private_buffers_[static_cast<std::size_t>(node_id)].data();
-}
-
-const float* Executor::f32_in(int node_id) const {
-  return reinterpret_cast<const float*>(read_buffer(node_id));
-}
-
-const std::int8_t* Executor::i8_in(int node_id) const {
-  return reinterpret_cast<const std::int8_t*>(read_buffer(node_id));
-}
-
-Tensor Executor::run(const Tensor& input) {
-  const ir::Node& in_node = graph_.node(graph_.input());
-  if (!(input.shape() == in_node.type.shape)) {
-    throw std::invalid_argument("Executor::run: input shape " + input.shape().to_string() +
-                                " != graph input " + in_node.type.shape.to_string());
-  }
-  std::memcpy(buffer(in_node.id), input.data().data(), input.numel() * sizeof(float));
-  if (observer_) observer_(in_node.id, input.data());
-
-  OBS_SPAN("rt.run");
-  for (const auto& node : graph_.nodes()) {
-    if (node.is_const() || node.op == ir::OpKind::kInput) continue;
-    {
-      NodeScope scope(profile_[static_cast<std::size_t>(node.id)], options_.profile);
-      dispatch(node);
-    }
-    if (observer_ && node.type.dtype == ir::DType::kF32) {
-      observer_(node.id, std::span<const float>(f32_in(node.id), node.type.shape.numel()));
-    }
-  }
-
-  const ir::Node& out = graph_.node(graph_.output());
-  Tensor result(out.type.shape);
-  std::memcpy(result.data().data(), read_buffer(out.id), result.numel() * sizeof(float));
-  return result;
-}
-
-void Executor::dispatch(const ir::Node& node) {
-  const auto& shape = node.type.shape;
-  const auto in_shape = [&](std::size_t i) -> const Shape& {
-    return graph_.node(node.inputs[i]).type.shape;
-  };
-
-  switch (node.op) {
-    case ir::OpKind::kConv2d: {
-      const Shape& x = in_shape(0);
-      const float* bias = node.inputs.size() == 3 ? f32_in(node.inputs[2]) : nullptr;
-      conv2d_f32(f32_in(node.inputs[0]), f32_in(node.inputs[1]), bias,
-                 reinterpret_cast<float*>(buffer(node.id)), x[0], x[1], x[2], x[3], shape[1],
-                 node.conv.kernel, node.conv.stride, node.conv.pad, shape[2], shape[3],
-                 node.conv.fused_relu, pool_.get());
-      return;
-    }
-    case ir::OpKind::kBatchNorm: {
-      const Shape& x = in_shape(0);
-      batch_norm_f32(f32_in(node.inputs[0]), f32_in(node.inputs[1]), f32_in(node.inputs[2]),
-                     f32_in(node.inputs[3]), f32_in(node.inputs[4]),
-                     reinterpret_cast<float*>(buffer(node.id)), x[0], x[1], x[2] * x[3],
-                     node.conv.bn_eps);
-      return;
-    }
-    case ir::OpKind::kChannelAffine: {
-      const Shape& x = in_shape(0);
-      channel_affine_f32(f32_in(node.inputs[0]), f32_in(node.inputs[1]), f32_in(node.inputs[2]),
-                         reinterpret_cast<float*>(buffer(node.id)), x[0], x[1], x[2] * x[3]);
-      return;
-    }
-    case ir::OpKind::kRelu:
-      relu_f32(f32_in(node.inputs[0]), reinterpret_cast<float*>(buffer(node.id)),
-               shape.numel());
-      return;
-    case ir::OpKind::kAvgPool: {
-      const Shape& x = in_shape(0);
-      avg_pool_f32(f32_in(node.inputs[0]), reinterpret_cast<float*>(buffer(node.id)), x[0],
-                   x[1], x[2], x[3], node.conv.kernel, node.conv.stride, node.conv.pad, shape[2],
-                   shape[3]);
-      return;
-    }
-    case ir::OpKind::kAdd:
-      add_f32(f32_in(node.inputs[0]), f32_in(node.inputs[1]),
-              reinterpret_cast<float*>(buffer(node.id)), shape.numel());
-      return;
-    case ir::OpKind::kGlobalAvgPool: {
-      const Shape& x = in_shape(0);
-      global_avg_pool_f32(f32_in(node.inputs[0]), reinterpret_cast<float*>(buffer(node.id)),
-                          x[0], x[1], x[2] * x[3]);
-      return;
-    }
-    case ir::OpKind::kLinear: {
-      const Shape& x = in_shape(0);
-      const float* bias = node.inputs.size() == 3 ? f32_in(node.inputs[2]) : nullptr;
-      linear_f32(f32_in(node.inputs[0]), f32_in(node.inputs[1]), bias,
-                 reinterpret_cast<float*>(buffer(node.id)), x[0], x[1], shape[1]);
-      return;
-    }
-    case ir::OpKind::kQuantize:
-      quantize_buffer(f32_in(node.inputs[0]),
-                      reinterpret_cast<std::int8_t*>(buffer(node.id)), shape.numel(),
-                      node.quant.out_q.scale, node.quant.out_q.zero_point);
-      return;
-    case ir::OpKind::kDequantize:
-      dequantize_buffer(i8_in(node.inputs[0]), reinterpret_cast<float*>(buffer(node.id)),
-                        shape.numel(), node.quant.in_q.scale, node.quant.in_q.zero_point);
-      return;
-    case ir::OpKind::kQConv2d: {
-      const Shape& x = in_shape(0);
-      if (const StripStream* strip = plan_.find_strip(node.id)) {
-        // Output overlays input: stream each sample in row strips. The
-        // planner only streams nodes whose per-sample input and output
-        // bases coincide (batch 1, or cin == cout).
-        const std::int8_t* xb = i8_in(node.inputs[0]);
-        std::int8_t* yb = reinterpret_cast<std::int8_t*>(buffer(node.id));
-        const std::ptrdiff_t per_in = static_cast<std::ptrdiff_t>(x[1]) * x[2] * x[3];
-        const std::ptrdiff_t per_out = static_cast<std::ptrdiff_t>(shape[1]) * shape[2] * shape[3];
-        for (int s = 0; s < x[0]; ++s) {
-          run_strip_streamed(node, x, strip->strip_h, xb + s * per_in, yb + s * per_out,
-                             stream_scratch_.data(), columns_.data(),
-                             weight_sums_[static_cast<std::size_t>(node.id)].data(),
-                             i8_in(node.inputs[1]),
-                             reinterpret_cast<const std::int32_t*>(read_buffer(node.inputs[2])),
-                             packed_ ? packed_->find(node.id) : nullptr, pool_.get());
-        }
-        return;
-      }
-      QConv2dArgs a;
-      a.batch = x[0];
-      a.cin = x[1];
-      a.h = x[2];
-      a.w = x[3];
-      a.cout = shape[1];
-      a.kernel = node.conv.kernel;
-      a.stride = node.conv.stride;
-      a.pad = node.conv.pad;
-      a.out_h = shape[2];
-      a.out_w = shape[3];
-      a.in_zp = node.quant.in_q.zero_point;
-      a.out_zp = node.quant.out_q.zero_point;
-      a.fused_relu = node.conv.fused_relu;
-      a.input = i8_in(node.inputs[0]);
-      a.weight = i8_in(node.inputs[1]);
-      a.bias = reinterpret_cast<const std::int32_t*>(read_buffer(node.inputs[2]));
-      a.weight_sum = weight_sums_[static_cast<std::size_t>(node.id)].data();
-      a.mantissa = node.quant.mantissa.data();
-      a.shift = node.quant.shift.data();
-      a.columns = columns_.data();
-      a.output = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      qconv2d_auto(a, packed_ ? packed_->find(node.id) : nullptr, pool_.get());
-      return;
-    }
-    case ir::OpKind::kQAvgPool: {
-      const Shape& x = in_shape(0);
-      if (const StripStream* strip = plan_.find_strip(node.id)) {
-        const std::int8_t* xb = i8_in(node.inputs[0]);
-        std::int8_t* yb = reinterpret_cast<std::int8_t*>(buffer(node.id));
-        const std::ptrdiff_t per = static_cast<std::ptrdiff_t>(x[1]) * x[2] * x[3];
-        for (int s = 0; s < x[0]; ++s) {
-          run_strip_streamed(node, x, strip->strip_h, xb + s * per, yb + s * per,
-                             stream_scratch_.data(), columns_.data(), nullptr, nullptr, nullptr,
-                             nullptr, nullptr);
-        }
-        return;
-      }
-      qavg_pool(i8_in(node.inputs[0]), reinterpret_cast<std::int8_t*>(buffer(node.id)), x[0],
-                x[1], x[2], x[3], node.conv.kernel, node.conv.stride, node.conv.pad, shape[2],
-                shape[3], node.quant.in_q.zero_point, node.quant.mantissa[0],
-                node.quant.shift[0], node.quant.out_q.zero_point);
-      return;
-    }
-    case ir::OpKind::kQAdd:
-      qadd(i8_in(node.inputs[0]), i8_in(node.inputs[1]),
-           reinterpret_cast<std::int8_t*>(buffer(node.id)), shape.numel(),
-           node.quant.in_q.zero_point, node.quant.mantissa[0], node.quant.shift[0],
-           node.quant.in2_q.zero_point, node.quant.mantissa2, node.quant.shift2,
-           node.quant.out_q.zero_point);
-      return;
-    case ir::OpKind::kQGlobalAvgPool: {
-      const Shape& x = in_shape(0);
-      qglobal_avg_pool(i8_in(node.inputs[0]), reinterpret_cast<std::int8_t*>(buffer(node.id)),
-                       x[0], x[1], x[2], x[3], node.quant.in_q.zero_point,
-                       node.quant.mantissa[0], node.quant.shift[0],
-                       node.quant.out_q.zero_point);
-      return;
-    }
-    case ir::OpKind::kQLinear: {
-      const Shape& x = in_shape(0);
-      QLinearArgs a;
-      a.batch = x[0];
-      a.in_features = x[1];
-      a.out_features = shape[1];
-      a.in_zp = node.quant.in_q.zero_point;
-      a.out_zp = node.quant.out_q.zero_point;
-      a.input = i8_in(node.inputs[0]);
-      a.weight = i8_in(node.inputs[1]);
-      a.bias = reinterpret_cast<const std::int32_t*>(read_buffer(node.inputs[2]));
-      a.weight_sum = weight_sums_[static_cast<std::size_t>(node.id)].data();
-      a.mantissa = node.quant.mantissa.data();
-      a.shift = node.quant.shift.data();
-      a.output = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      qlinear_auto(a, packed_ ? packed_->find(node.id) : nullptr, pool_.get());
-      return;
-    }
-    case ir::OpKind::kQRelu:
-      qrelu(i8_in(node.inputs[0]), reinterpret_cast<std::int8_t*>(buffer(node.id)),
-            shape.numel(), node.quant.out_q.zero_point);
-      return;
-    case ir::OpKind::kInput:
-    case ir::OpKind::kConst:
-      return;  // handled by the caller
-  }
-  throw std::logic_error("Executor::dispatch: unhandled op kind");
-}
-
-// ------------------------------------------------------------- batched
-
-BatchedExecutor::BatchedExecutor(const ir::Graph& graph, int batch_capacity,
-                                 ExecOptions options, MemoryPlanOptions plan_options)
-    : graph_(graph), capacity_(batch_capacity), options_(options) {
-  if (capacity_ < 1) {
-    throw std::invalid_argument("BatchedExecutor: batch capacity must be >= 1");
-  }
-  plan_options.batch = capacity_;
-  plan_ = plan_memory(graph_, plan_options);
-  prepare();
-}
-
-BatchedExecutor::BatchedExecutor(const ir::Graph& graph, MemoryPlan plan, int batch_capacity,
-                                 ExecOptions options)
+Executor::Executor(const ir::Graph& graph, MemoryPlan plan, int batch_capacity,
+                   ExecOptions options)
     : graph_(graph), plan_(std::move(plan)), capacity_(batch_capacity), options_(options) {
-  if (capacity_ < 1) {
-    throw std::invalid_argument("BatchedExecutor: batch capacity must be >= 1");
+  if (capacity_ < 1) throw std::invalid_argument("Executor: batch capacity must be >= 1");
+  graph_.validate();
+  const ir::Node& in = graph_.node(graph_.input());
+  const ir::Node& out = graph_.node(graph_.output());
+  if (in.type.dtype != ir::DType::kF32 || out.type.dtype != ir::DType::kF32) {
+    throw std::invalid_argument(
+        "Executor: graph must start and end in f32 nodes (insert a quantize / dequantize)");
+  }
+  if (capacity_ > 1 && in.type.shape[0] != 1) {
+    throw std::invalid_argument(
+        "Executor: batch capacity > 1 needs a graph compiled at batch 1 — the input batch dim "
+        "is the sample axis the executor widens; got input " +
+        in.type.shape.to_string());
   }
   // The plan must be a batch-capacity plan of this graph: every
   // placement holds capacity_ samples of its value.
   for (const BufferPlacement& b : plan_.buffers) {
     const long long want = graph_.node(b.node_id).type.bytes() * capacity_;
     if (b.size != want) {
-      throw std::invalid_argument("BatchedExecutor: plan holds " + std::to_string(b.size) +
+      throw std::invalid_argument("Executor: plan holds " + std::to_string(b.size) +
                                   " B for node %" + std::to_string(b.node_id) + ", want " +
                                   std::to_string(want) + " B at batch capacity " +
                                   std::to_string(capacity_));
@@ -559,7 +327,7 @@ BatchedExecutor::BatchedExecutor(const ir::Graph& graph, MemoryPlan plan, int ba
       const BufferPlacement* target = plan_.find(b.alias_of);
       if (target == nullptr || target->size != b.size) {
         throw std::invalid_argument(
-            "BatchedExecutor: aliased placement %" + std::to_string(b.node_id) +
+            "Executor: aliased placement %" + std::to_string(b.node_id) +
             " must match its target's size at batch capacity > 1");
       }
     }
@@ -569,28 +337,29 @@ BatchedExecutor::BatchedExecutor(const ir::Graph& graph, MemoryPlan plan, int ba
     const BufferPlacement* x = plan_.find(graph_.node(s.node_id).inputs[0]);
     if (capacity_ > 1 && (y == nullptr || x == nullptr || y->size != x->size)) {
       throw std::invalid_argument(
-          "BatchedExecutor: streamed placement %" + std::to_string(s.node_id) +
+          "Executor: streamed placement %" + std::to_string(s.node_id) +
           " must match its input's size at batch capacity > 1");
     }
   }
-  prepare();
-}
 
-void BatchedExecutor::prepare() {
-  graph_.validate();
-  const ir::Node& in = graph_.node(graph_.input());
-  const ir::Node& out = graph_.node(graph_.output());
-  if (in.type.dtype != ir::DType::kF32 || out.type.dtype != ir::DType::kF32) {
-    throw std::invalid_argument("BatchedExecutor: graph must start and end in f32 nodes");
-  }
-  if (in.type.shape[0] != 1) {
-    throw std::invalid_argument(
-        "BatchedExecutor: graph must be compiled at batch 1 — the input batch dim is the "
-        "sample axis the executor widens; got input " +
-        in.type.shape.to_string());
-  }
   if (options_.threads != 1) pool_ = std::make_unique<ThreadPool>(options_.threads);
   arena_.resize(static_cast<std::size_t>(plan_.arena_bytes));
+  // Resolve every node's storage once: the walk never searches the plan.
+  slots_.resize(static_cast<std::size_t>(graph_.size()));
+  for (const auto& node : graph_.nodes()) {
+    Slots& s = slots_[static_cast<std::size_t>(node.id)];
+    if (node.is_const()) {
+      s.base = const_cast<std::byte*>(const_data(node));
+      continue;
+    }
+    const BufferPlacement* b = plan_.find(node.id);
+    if (!b) {
+      throw std::logic_error("Executor: node %" + std::to_string(node.id) +
+                             " has no arena placement");
+    }
+    s.base = arena_.data() + b->offset;
+    s.stride = static_cast<std::size_t>(node.type.bytes());
+  }
   weight_sums_ = compute_weight_sums(graph_);
   columns_.resize(max_qconv_scratch_bytes(graph_, capacity_));
   stream_scratch_.resize(static_cast<std::size_t>(plan_.stream_scratch_bytes));
@@ -603,7 +372,7 @@ void BatchedExecutor::prepare() {
   profile_ = build_profile_table(graph_, plan_, packed_);
 }
 
-std::size_t BatchedExecutor::sample_io_bytes(const ir::Graph& graph, const ir::Node& node) {
+std::size_t Executor::sample_io_bytes(const ir::Graph& graph, const ir::Node& node) {
   // f32 conv/linear cost is dominated by per-element arithmetic, not
   // the bytes moved — always worth a pool dispatch.
   if (node.op == ir::OpKind::kConv2d || node.op == ir::OpKind::kLinear) return kHeavySample;
@@ -616,36 +385,16 @@ std::size_t BatchedExecutor::sample_io_bytes(const ir::Graph& graph, const ir::N
   return bytes;
 }
 
-std::byte* BatchedExecutor::buffer(int node_id) {
-  return const_cast<std::byte*>(read_buffer(node_id));
-}
-
-const std::byte* BatchedExecutor::read_buffer(int node_id) const {
-  const ir::Node& node = graph_.node(node_id);
-  if (node.is_const()) {
-    switch (node.type.dtype) {
-      case ir::DType::kF32:
-        return reinterpret_cast<const std::byte*>(node.f32_data.data().data());
-      case ir::DType::kI8:
-        return reinterpret_cast<const std::byte*>(node.i8_data.data());
-      case ir::DType::kI32:
-        return reinterpret_cast<const std::byte*>(node.i32_data.data());
-    }
-  }
-  const BufferPlacement* b = plan_.find(node_id);
-  if (!b) throw std::logic_error("BatchedExecutor: node has no arena placement");
-  return arena_.data() + b->offset;
-}
-
-void BatchedExecutor::each_sample(int n, std::size_t sample_bytes,
-                                  const std::function<void(int)>& fn) {
+template <typename Fn>
+void Executor::each_sample(const ir::Node& node, int n, const Fn& fn) {
   // A pool dispatch costs on the order of a context switch; for a
   // memory-bound broadcast op that only pays off once a sample touches
   // tens of KB (kMinParallelSampleBytes, compared against
   // sample_io_bytes so every op is measured in the same unit). Below
   // that the serial loop is strictly faster, and the results are
   // identical either way (samples are independent).
-  if (pool_ && pool_->size() > 1 && n > 1 && sample_bytes >= kMinParallelSampleBytes) {
+  if (n > 1 && pool_ && pool_->size() > 1 &&
+      sample_io_bytes(graph_, node) >= kMinParallelSampleBytes) {
     pool_->parallel_for(static_cast<std::size_t>(n),
                         [&fn](std::size_t i) { fn(static_cast<int>(i)); });
   } else {
@@ -653,304 +402,223 @@ void BatchedExecutor::each_sample(int n, std::size_t sample_bytes,
   }
 }
 
-std::vector<Tensor> BatchedExecutor::run_batch(std::span<const Tensor* const> inputs) {
+std::vector<Tensor> Executor::run_batch(std::span<const Tensor* const> inputs) {
   const int n = static_cast<int>(inputs.size());
   if (n < 1 || n > capacity_) {
-    throw std::invalid_argument("BatchedExecutor::run_batch: batch of " + std::to_string(n) +
+    throw std::invalid_argument("Executor::run_batch: batch of " + std::to_string(n) +
                                 " outside [1, capacity " + std::to_string(capacity_) + "]");
   }
-  const ir::Node& in_node = graph_.node(graph_.input());
-  for (int i = 0; i < n; ++i) {
-    if (!(inputs[static_cast<std::size_t>(i)]->shape() == in_node.type.shape)) {
-      throw std::invalid_argument(
-          "BatchedExecutor::run_batch: input " + std::to_string(i) + " shape " +
-          inputs[static_cast<std::size_t>(i)]->shape().to_string() + " != graph input " +
-          in_node.type.shape.to_string());
+  const ir::Node& in = graph_.node(graph_.input());
+  for (int s = 0; s < n; ++s) {
+    const Tensor& x = *inputs[static_cast<std::size_t>(s)];
+    if (!(x.shape() == in.type.shape)) {
+      throw std::invalid_argument("Executor::run_batch: input " + std::to_string(s) +
+                                  " shape " + x.shape().to_string() + " != graph input " +
+                                  in.type.shape.to_string());
     }
+    std::memcpy(slot<float>(in.id, s), x.data().data(), x.numel() * sizeof(float));
   }
+  // The observer sees a value's n slots as one span.
+  const auto observe = [&](const ir::Node& node) {
+    if (observer_ && node.type.dtype == ir::DType::kF32) {
+      observer_(node.id, std::span<const float>(slot<const float>(node.id, 0),
+                                                n * node.type.shape.numel()));
+    }
+  };
+  observe(in);
 
-  const std::size_t in_per = in_node.type.shape.numel();
-  float* in_buf = reinterpret_cast<float*>(buffer(in_node.id));
-  for (int i = 0; i < n; ++i) {
-    std::memcpy(in_buf + static_cast<std::ptrdiff_t>(i) * in_per,
-                inputs[static_cast<std::size_t>(i)]->data().data(), in_per * sizeof(float));
-  }
-
-  obs::Span batch_span("rt.run_batch");
-  batch_span.tag("batch", static_cast<long long>(n));
+  obs::Span span("rt.run");
+  span.tag("batch", static_cast<long long>(n));
   for (const auto& node : graph_.nodes()) {
     if (node.is_const() || node.op == ir::OpKind::kInput) continue;
-    NodeScope scope(profile_[static_cast<std::size_t>(node.id)], options_.profile);
-    dispatch(node, n);
+    {
+      NodeScope scope(profile_[static_cast<std::size_t>(node.id)], options_.profile);
+      dispatch(node, n);
+    }
+    observe(node);
   }
 
+  // A fully folded graph ends in a constant, which every slot shares.
   const ir::Node& out = graph_.node(graph_.output());
-  const std::size_t out_per = out.type.shape.numel();
-  const float* out_buf = reinterpret_cast<const float*>(read_buffer(out.id));
   std::vector<Tensor> results;
   results.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    Tensor r(out.type.shape);
-    // A fully folded graph ends in a constant: every sample's logits
-    // are that constant (no per-sample slot to read).
-    const float* src =
-        out.is_const() ? out_buf : out_buf + static_cast<std::ptrdiff_t>(i) * out_per;
-    std::memcpy(r.data().data(), src, out_per * sizeof(float));
-    results.push_back(std::move(r));
+  for (int s = 0; s < n; ++s) {
+    Tensor& r = results.emplace_back(out.type.shape);
+    std::memcpy(r.data().data(), slot<const float>(out.id, s), r.numel() * sizeof(float));
   }
   return results;
 }
 
-std::vector<Tensor> BatchedExecutor::run_batch(std::span<const Tensor> inputs) {
+std::vector<Tensor> Executor::run_batch(std::span<const Tensor> inputs) {
   std::vector<const Tensor*> ptrs;
   ptrs.reserve(inputs.size());
   for (const Tensor& t : inputs) ptrs.push_back(&t);
   return run_batch(std::span<const Tensor* const>(ptrs.data(), ptrs.size()));
 }
 
-Tensor BatchedExecutor::run(const Tensor& input) {
+Tensor Executor::run(const Tensor& input) {
   const Tensor* p = &input;
   return std::move(run_batch(std::span<const Tensor* const>(&p, 1)).front());
 }
 
-void BatchedExecutor::dispatch(const ir::Node& node, int n) {
-  const auto& shape = node.type.shape;
-  const std::size_t per_out = shape.numel();  // per-sample elements: graph batch is 1
-  // Every each_sample site gates on the same unit: actual bytes
-  // touched per sample (sample_io_bytes), never raw element counts.
-  const std::size_t io_bytes = sample_io_bytes(graph_, node);
-  const auto in_shape = [&](std::size_t i) -> const Shape& {
-    return graph_.node(node.inputs[i]).type.shape;
-  };
-  // Per-sample operand pointer: constants (weights, quant params) are
-  // shared across samples, activations hold capacity_ sample slots.
-  const auto f32_s = [&](int id, int s) -> const float* {
-    const ir::Node& nd = graph_.node(id);
-    const float* p = reinterpret_cast<const float*>(read_buffer(id));
-    return nd.is_const() ? p : p + static_cast<std::ptrdiff_t>(s) * nd.type.shape.numel();
-  };
-  const auto i8_s = [&](int id, int s) -> const std::int8_t* {
-    const ir::Node& nd = graph_.node(id);
-    const std::int8_t* p = reinterpret_cast<const std::int8_t*>(read_buffer(id));
-    return nd.is_const() ? p : p + static_cast<std::ptrdiff_t>(s) * nd.type.shape.numel();
-  };
+void Executor::dispatch(const ir::Node& node, int n) {
+  const Shape& shape = node.type.shape;
+  const Shape& x = graph_.node(node.inputs[0]).type.shape;
+  const std::size_t numel = shape.numel();  // one slot: the graph batch
+  const auto f32 = [&](std::size_t i, int s) { return slot<const float>(node.inputs[i], s); };
+  const auto i8 = [&](std::size_t i, int s) { return slot<const std::int8_t>(node.inputs[i], s); };
+  const std::int32_t* weight_sum = weight_sums_[static_cast<std::size_t>(node.id)].data();
+  const PackedWeights* packed = packed_ ? packed_->find(node.id) : nullptr;
+
+  if (const StripStream* strip = plan_.find_strip(node.id)) {
+    // Output overlays input: stream each sample in row strips through
+    // the one strip scratch, so samples run serially. The planner only
+    // streams nodes whose per-sample input and output bases coincide
+    // (batch 1, or cin == cout), and the constructor re-checks the
+    // slot sizes at capacity > 1.
+    const bool conv = node.op == ir::OpKind::kQConv2d;
+    const std::ptrdiff_t per_in = static_cast<std::ptrdiff_t>(x[1]) * x[2] * x[3];
+    const std::ptrdiff_t per_out = static_cast<std::ptrdiff_t>(shape[1]) * shape[2] * shape[3];
+    for (int j = 0; j < n * x[0]; ++j) {
+      run_strip_streamed(node, x, strip->strip_h, i8(0, 0) + j * per_in,
+                         slot<std::int8_t>(node.id, 0) + j * per_out, stream_scratch_.data(),
+                         columns_.data(), weight_sum, conv ? i8(1, 0) : nullptr,
+                         conv ? slot<const std::int32_t>(node.inputs[2], 0) : nullptr, packed,
+                         pool_.get());
+    }
+    return;
+  }
 
   switch (node.op) {
-    case ir::OpKind::kConv2d: {
-      const Shape& x = in_shape(0);
-      float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        const float* bias = node.inputs.size() == 3 ? f32_s(node.inputs[2], s) : nullptr;
-        conv2d_f32(f32_s(node.inputs[0], s), f32_s(node.inputs[1], s), bias,
-                   out + static_cast<std::ptrdiff_t>(s) * per_out, 1, x[1], x[2], x[3], shape[1],
-                   node.conv.kernel, node.conv.stride, node.conv.pad, shape[2], shape[3],
-                   node.conv.fused_relu, nullptr);
+    case ir::OpKind::kConv2d:
+      // One slot splits its output channels over the pool; several
+      // slots split over samples instead, never both.
+      each_sample(node, n, [&](int s) {
+        conv2d_f32(f32(0, s), f32(1, s), node.inputs.size() == 3 ? f32(2, s) : nullptr,
+                   slot<float>(node.id, s), x[0], x[1], x[2], x[3], shape[1], node.conv.kernel,
+                   node.conv.stride, node.conv.pad, shape[2], shape[3], node.conv.fused_relu,
+                   n == 1 ? pool_.get() : nullptr);
       });
       return;
-    }
-    case ir::OpKind::kBatchNorm: {
-      const Shape& x = in_shape(0);
-      float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        batch_norm_f32(f32_s(node.inputs[0], s), f32_s(node.inputs[1], s),
-                       f32_s(node.inputs[2], s), f32_s(node.inputs[3], s),
-                       f32_s(node.inputs[4], s), out + static_cast<std::ptrdiff_t>(s) * per_out,
-                       1, x[1], x[2] * x[3], node.conv.bn_eps);
+    case ir::OpKind::kBatchNorm:
+      each_sample(node, n, [&](int s) {
+        batch_norm_f32(f32(0, s), f32(1, s), f32(2, s), f32(3, s), f32(4, s),
+                       slot<float>(node.id, s), x[0], x[1], x[2] * x[3], node.conv.bn_eps);
       });
       return;
-    }
-    case ir::OpKind::kChannelAffine: {
-      const Shape& x = in_shape(0);
-      float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        channel_affine_f32(f32_s(node.inputs[0], s), f32_s(node.inputs[1], s),
-                           f32_s(node.inputs[2], s),
-                           out + static_cast<std::ptrdiff_t>(s) * per_out, 1, x[1], x[2] * x[3]);
+    case ir::OpKind::kChannelAffine:
+      each_sample(node, n, [&](int s) {
+        channel_affine_f32(f32(0, s), f32(1, s), f32(2, s), slot<float>(node.id, s), x[0], x[1],
+                           x[2] * x[3]);
       });
       return;
-    }
-    case ir::OpKind::kRelu: {
-      float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        relu_f32(f32_s(node.inputs[0], s), out + static_cast<std::ptrdiff_t>(s) * per_out,
-                 per_out);
+    case ir::OpKind::kRelu:
+      each_sample(node, n, [&](int s) { relu_f32(f32(0, s), slot<float>(node.id, s), numel); });
+      return;
+    case ir::OpKind::kAvgPool:
+      each_sample(node, n, [&](int s) {
+        avg_pool_f32(f32(0, s), slot<float>(node.id, s), x[0], x[1], x[2], x[3],
+                     node.conv.kernel, node.conv.stride, node.conv.pad, shape[2], shape[3]);
       });
       return;
-    }
-    case ir::OpKind::kAvgPool: {
-      const Shape& x = in_shape(0);
-      float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        avg_pool_f32(f32_s(node.inputs[0], s), out + static_cast<std::ptrdiff_t>(s) * per_out, 1,
-                     x[1], x[2], x[3], node.conv.kernel, node.conv.stride, node.conv.pad,
-                     shape[2], shape[3]);
+    case ir::OpKind::kAdd:
+      each_sample(node, n, [&](int s) {
+        add_f32(f32(0, s), f32(1, s), slot<float>(node.id, s), numel);
       });
       return;
-    }
-    case ir::OpKind::kAdd: {
-      float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        add_f32(f32_s(node.inputs[0], s), f32_s(node.inputs[1], s),
-                out + static_cast<std::ptrdiff_t>(s) * per_out, per_out);
+    case ir::OpKind::kGlobalAvgPool:
+      each_sample(node, n, [&](int s) {
+        global_avg_pool_f32(f32(0, s), slot<float>(node.id, s), x[0], x[1], x[2] * x[3]);
       });
       return;
-    }
-    case ir::OpKind::kGlobalAvgPool: {
-      const Shape& x = in_shape(0);
-      float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        global_avg_pool_f32(f32_s(node.inputs[0], s),
-                            out + static_cast<std::ptrdiff_t>(s) * per_out, 1, x[1], x[2] * x[3]);
+    case ir::OpKind::kLinear:
+      each_sample(node, n, [&](int s) {
+        linear_f32(f32(0, s), f32(1, s), node.inputs.size() == 3 ? f32(2, s) : nullptr,
+                   slot<float>(node.id, s), x[0], x[1], shape[1]);
       });
       return;
-    }
-    case ir::OpKind::kLinear: {
-      const Shape& x = in_shape(0);
-      float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        const float* bias = node.inputs.size() == 3 ? f32_s(node.inputs[2], s) : nullptr;
-        linear_f32(f32_s(node.inputs[0], s), f32_s(node.inputs[1], s), bias,
-                   out + static_cast<std::ptrdiff_t>(s) * per_out, 1, x[1], shape[1]);
+    case ir::OpKind::kQuantize:
+      each_sample(node, n, [&](int s) {
+        quantize_buffer(f32(0, s), slot<std::int8_t>(node.id, s), numel, node.quant.out_q.scale,
+                        node.quant.out_q.zero_point);
       });
       return;
-    }
-    case ir::OpKind::kQuantize: {
-      std::int8_t* out = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        quantize_buffer(f32_s(node.inputs[0], s), out + static_cast<std::ptrdiff_t>(s) * per_out,
-                        per_out, node.quant.out_q.scale, node.quant.out_q.zero_point);
+    case ir::OpKind::kDequantize:
+      each_sample(node, n, [&](int s) {
+        dequantize_buffer(i8(0, s), slot<float>(node.id, s), numel, node.quant.in_q.scale,
+                          node.quant.in_q.zero_point);
       });
       return;
-    }
-    case ir::OpKind::kDequantize: {
-      float* out = reinterpret_cast<float*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        dequantize_buffer(i8_s(node.inputs[0], s),
-                          out + static_cast<std::ptrdiff_t>(s) * per_out, per_out,
-                          node.quant.in_q.scale, node.quant.in_q.zero_point);
-      });
-      return;
-    }
     case ir::OpKind::kQConv2d: {
-      const Shape& x = in_shape(0);
-      if (const StripStream* strip = plan_.find_strip(node.id)) {
-        // Streamed: one shared strip scratch, so samples run serially.
-        // The ctor guaranteed |x| == |y| at capacity > 1, so the
-        // per-sample overlay bases coincide.
-        std::int8_t* yb = reinterpret_cast<std::int8_t*>(buffer(node.id));
-        for (int s = 0; s < n; ++s) {
-          run_strip_streamed(node, x, strip->strip_h, i8_s(node.inputs[0], s),
-                             yb + static_cast<std::ptrdiff_t>(s) * per_out,
-                             stream_scratch_.data(), columns_.data(),
-                             weight_sums_[static_cast<std::size_t>(node.id)].data(),
-                             i8_s(node.inputs[1], 0),
-                             reinterpret_cast<const std::int32_t*>(read_buffer(node.inputs[2])),
-                             packed_ ? packed_->find(node.id) : nullptr, pool_.get());
-        }
-        return;
-      }
-      // The widened-M path: n samples, ONE im2col GEMM invocation with
-      // M = n * out_h * out_w, partitioned over output channels.
-      QConv2dArgs a;
-      a.batch = n;
-      a.cin = x[1];
-      a.h = x[2];
-      a.w = x[3];
-      a.cout = shape[1];
-      a.kernel = node.conv.kernel;
-      a.stride = node.conv.stride;
-      a.pad = node.conv.pad;
-      a.out_h = shape[2];
-      a.out_w = shape[3];
+      // The widened-M path: every slot in ONE im2col GEMM invocation
+      // with M = n * batch * out_h * out_w, partitioned over output
+      // channels.
+      QConv2dArgs a = qconv_geometry(graph_, node);
+      a.batch *= n;
       a.in_zp = node.quant.in_q.zero_point;
       a.out_zp = node.quant.out_q.zero_point;
       a.fused_relu = node.conv.fused_relu;
-      a.input = i8_s(node.inputs[0], 0);
-      a.weight = i8_s(node.inputs[1], 0);
-      a.bias = reinterpret_cast<const std::int32_t*>(read_buffer(node.inputs[2]));
-      a.weight_sum = weight_sums_[static_cast<std::size_t>(node.id)].data();
+      a.input = i8(0, 0);
+      a.weight = i8(1, 0);
+      a.bias = slot<const std::int32_t>(node.inputs[2], 0);
+      a.weight_sum = weight_sum;
       a.mantissa = node.quant.mantissa.data();
       a.shift = node.quant.shift.data();
       a.columns = columns_.data();
-      a.output = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      qconv2d_auto(a, packed_ ? packed_->find(node.id) : nullptr, pool_.get());
+      a.output = slot<std::int8_t>(node.id, 0);
+      qconv2d_auto(a, packed, pool_.get());
       return;
     }
-    case ir::OpKind::kQAvgPool: {
-      const Shape& x = in_shape(0);
-      if (const StripStream* strip = plan_.find_strip(node.id)) {
-        std::int8_t* yb = reinterpret_cast<std::int8_t*>(buffer(node.id));
-        for (int s = 0; s < n; ++s) {
-          run_strip_streamed(node, x, strip->strip_h, i8_s(node.inputs[0], s),
-                             yb + static_cast<std::ptrdiff_t>(s) * per_out,
-                             stream_scratch_.data(), columns_.data(), nullptr, nullptr, nullptr,
-                             nullptr, nullptr);
-        }
-        return;
-      }
-      std::int8_t* out = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        qavg_pool(i8_s(node.inputs[0], s), out + static_cast<std::ptrdiff_t>(s) * per_out, 1,
-                  x[1], x[2], x[3], node.conv.kernel, node.conv.stride, node.conv.pad, shape[2],
-                  shape[3], node.quant.in_q.zero_point, node.quant.mantissa[0],
-                  node.quant.shift[0], node.quant.out_q.zero_point);
+    case ir::OpKind::kQAvgPool:
+      each_sample(node, n, [&](int s) {
+        qavg_pool(i8(0, s), slot<std::int8_t>(node.id, s), x[0], x[1], x[2], x[3],
+                  node.conv.kernel, node.conv.stride, node.conv.pad, shape[2], shape[3],
+                  node.quant.in_q.zero_point, node.quant.mantissa[0], node.quant.shift[0],
+                  node.quant.out_q.zero_point);
       });
       return;
-    }
-    case ir::OpKind::kQAdd: {
-      std::int8_t* out = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        qadd(i8_s(node.inputs[0], s), i8_s(node.inputs[1], s),
-             out + static_cast<std::ptrdiff_t>(s) * per_out, per_out,
-             node.quant.in_q.zero_point, node.quant.mantissa[0], node.quant.shift[0],
-             node.quant.in2_q.zero_point, node.quant.mantissa2, node.quant.shift2,
-             node.quant.out_q.zero_point);
+    case ir::OpKind::kQAdd:
+      each_sample(node, n, [&](int s) {
+        qadd(i8(0, s), i8(1, s), slot<std::int8_t>(node.id, s), numel, node.quant.in_q.zero_point,
+             node.quant.mantissa[0], node.quant.shift[0], node.quant.in2_q.zero_point,
+             node.quant.mantissa2, node.quant.shift2, node.quant.out_q.zero_point);
       });
       return;
-    }
-    case ir::OpKind::kQGlobalAvgPool: {
-      const Shape& x = in_shape(0);
-      std::int8_t* out = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        qglobal_avg_pool(i8_s(node.inputs[0], s), out + static_cast<std::ptrdiff_t>(s) * per_out,
-                         1, x[1], x[2], x[3], node.quant.in_q.zero_point,
-                         node.quant.mantissa[0], node.quant.shift[0],
-                         node.quant.out_q.zero_point);
+    case ir::OpKind::kQGlobalAvgPool:
+      each_sample(node, n, [&](int s) {
+        qglobal_avg_pool(i8(0, s), slot<std::int8_t>(node.id, s), x[0], x[1], x[2], x[3],
+                         node.quant.in_q.zero_point, node.quant.mantissa[0],
+                         node.quant.shift[0], node.quant.out_q.zero_point);
       });
       return;
-    }
     case ir::OpKind::kQLinear: {
-      // qlinear is already an M-widened GEMM: batch rows, one call.
-      const Shape& x = in_shape(0);
+      // qlinear is already an M-widened GEMM: every slot's rows, one call.
       QLinearArgs a;
-      a.batch = n;
+      a.batch = n * x[0];
       a.in_features = x[1];
       a.out_features = shape[1];
       a.in_zp = node.quant.in_q.zero_point;
       a.out_zp = node.quant.out_q.zero_point;
-      a.input = i8_s(node.inputs[0], 0);
-      a.weight = i8_s(node.inputs[1], 0);
-      a.bias = reinterpret_cast<const std::int32_t*>(read_buffer(node.inputs[2]));
-      a.weight_sum = weight_sums_[static_cast<std::size_t>(node.id)].data();
+      a.input = i8(0, 0);
+      a.weight = i8(1, 0);
+      a.bias = slot<const std::int32_t>(node.inputs[2], 0);
+      a.weight_sum = weight_sum;
       a.mantissa = node.quant.mantissa.data();
       a.shift = node.quant.shift.data();
-      a.output = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      qlinear_auto(a, packed_ ? packed_->find(node.id) : nullptr, pool_.get());
+      a.output = slot<std::int8_t>(node.id, 0);
+      qlinear_auto(a, packed, pool_.get());
       return;
     }
-    case ir::OpKind::kQRelu: {
-      std::int8_t* out = reinterpret_cast<std::int8_t*>(buffer(node.id));
-      each_sample(n, io_bytes, [&](int s) {
-        qrelu(i8_s(node.inputs[0], s), out + static_cast<std::ptrdiff_t>(s) * per_out, per_out,
-              node.quant.out_q.zero_point);
+    case ir::OpKind::kQRelu:
+      each_sample(node, n, [&](int s) {
+        qrelu(i8(0, s), slot<std::int8_t>(node.id, s), numel, node.quant.out_q.zero_point);
       });
       return;
-    }
     case ir::OpKind::kInput:
     case ir::OpKind::kConst:
-      return;  // handled by the caller
+      return;  // never dispatched: the walk skips them
   }
-  throw std::logic_error("BatchedExecutor::dispatch: unhandled op kind");
+  throw std::logic_error("Executor::dispatch: unhandled op kind");
 }
 
 }  // namespace micronas::rt

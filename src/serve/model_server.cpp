@@ -55,26 +55,13 @@ ModelServer::ModelServer(std::shared_ptr<const compile::CompiledModel> model,
   if (options_.max_wait_us < 0) {
     throw std::invalid_argument("ModelServer: max_wait_us must be >= 0");
   }
-  if (options_.per_slot_fanout) {
-    // Legacy path: one planned executor (arena) per batch slot; slot i
-    // of a batch always runs on lanes_[i], so concurrent requests are
-    // isolated by construction.
-    lanes_.reserve(static_cast<std::size_t>(options_.max_batch));
-    for (int i = 0; i < options_.max_batch; ++i) {
-      // The model's package-built packed weights flow into every lane:
-      // the server never repacks, no matter how many executors it runs.
-      lanes_.push_back(std::make_unique<rt::Executor>(model_->graph, model_->plan,
-                                                      rt::ExecOptions{1, &model_->packed}));
-    }
-    if (options_.max_batch > 1) pool_ = std::make_unique<ThreadPool>(options_.threads);
-  } else {
-    // One-invocation path: compile the planned graph at batch capacity
-    // max_batch — the arena holds max_batch samples of every value and
-    // a coalesced batch is a single run_batch call.
-    batched_ = std::make_unique<rt::BatchedExecutor>(
-        model_->graph, model_->plan_for_batch(options_.max_batch), options_.max_batch,
-        rt::ExecOptions{options_.threads, &model_->packed});
-  }
+  // Run the planned graph at batch capacity max_batch: the arena holds
+  // max_batch samples of every value and a coalesced batch is a single
+  // run_batch call. The model's package-built packed weights flow in,
+  // so the server never repacks.
+  executor_ = std::make_unique<rt::Executor>(
+      model_->graph, model_->plan_for_batch(options_.max_batch), options_.max_batch,
+      rt::ExecOptions{options_.threads, &model_->packed});
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -137,7 +124,7 @@ void ModelServer::stop() {
   // Claim the thread under the lock: of racing stop() calls (e.g. an
   // explicit stop against the destructor) exactly one gets a joinable
   // handle and joins it. Losers must NOT return early — the dispatcher
-  // may still be draining queue_ and touching batched_/lanes_/pool_,
+  // may still be draining queue_ and touching executor_,
   // and the losing caller could be the destructor — so they block on
   // dispatcher_done_, which the winner flags after its join. Every
   // stop() therefore returns only once the queue is drained and the
@@ -230,50 +217,35 @@ void ModelServer::run_batch(std::vector<Pending>& batch) {
   const auto dispatched = std::chrono::steady_clock::now();
   std::vector<Tensor> results(batch.size());
   std::vector<std::exception_ptr> errors(batch.size());
-  if (batched_) {
-    // ONE executor invocation for the whole coalesced batch. Requests
-    // with a bad input shape fail individually (their future rethrows)
-    // without poisoning the batch for everyone else.
-    const ir::Node& in_node = model_->graph.node(model_->graph.input());
-    std::vector<const Tensor*> good;
-    std::vector<std::size_t> slot;  // good index -> batch index
-    good.reserve(batch.size());
-    slot.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].input.shape() == in_node.type.shape) {
-        good.push_back(&batch[i].input);
-        slot.push_back(i);
-      } else {
-        errors[i] = std::make_exception_ptr(std::invalid_argument(
-            "ModelServer: input shape " + batch[i].input.shape().to_string() +
-            " != model input " + in_node.type.shape.to_string()));
-      }
-    }
-    if (!good.empty()) {
-      try {
-        std::vector<Tensor> logits =
-            batched_->run_batch(std::span<const Tensor* const>(good.data(), good.size()));
-        for (std::size_t g = 0; g < logits.size(); ++g) {
-          results[slot[g]] = std::move(logits[g]);
-        }
-      } catch (...) {
-        for (std::size_t g = 0; g < slot.size(); ++g) {
-          errors[slot[g]] = std::current_exception();
-        }
-      }
-    }
-  } else {
-    const auto run_one = [this, &batch, &results, &errors](std::size_t i) {
-      try {
-        results[i] = lanes_[i]->run(batch[i].input);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    };
-    if (pool_ && batch.size() > 1) {
-      pool_->parallel_for(batch.size(), run_one);
+  // ONE executor invocation for the whole coalesced batch. Requests
+  // with a bad input shape fail individually (their future rethrows)
+  // without poisoning the batch for everyone else.
+  const ir::Node& in_node = model_->graph.node(model_->graph.input());
+  std::vector<const Tensor*> good;
+  std::vector<std::size_t> slot;  // good index -> batch index
+  good.reserve(batch.size());
+  slot.reserve(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].input.shape() == in_node.type.shape) {
+      good.push_back(&batch[i].input);
+      slot.push_back(i);
     } else {
-      for (std::size_t i = 0; i < batch.size(); ++i) run_one(i);
+      errors[i] = std::make_exception_ptr(std::invalid_argument(
+          "ModelServer: input shape " + batch[i].input.shape().to_string() +
+          " != model input " + in_node.type.shape.to_string()));
+    }
+  }
+  if (!good.empty()) {
+    try {
+      std::vector<Tensor> logits =
+          executor_->run_batch(std::span<const Tensor* const>(good.data(), good.size()));
+      for (std::size_t g = 0; g < logits.size(); ++g) {
+        results[slot[g]] = std::move(logits[g]);
+      }
+    } catch (...) {
+      for (std::size_t g = 0; g < slot.size(); ++g) {
+        errors[slot[g]] = std::current_exception();
+      }
     }
   }
 

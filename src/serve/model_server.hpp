@@ -10,17 +10,13 @@
 // deprecated wrappers — see api.hpp for the taxonomy rationale);
 // the dispatcher coalesces up to `max_batch` queued requests (waiting
 // at most `max_wait_us` after the first one arrived) and dispatches
-// the whole batch as ONE rt::BatchedExecutor::run_batch invocation —
-// the graph is compiled at batch capacity `max_batch`, so a coalesced
-// batch widens the int8-GEMM M dimension instead of fanning out one
-// Executor per request. Every request's logits are bit-identical to a
-// serial Executor run of the same input — batching is a pure
+// the whole batch as ONE rt::Executor::run_batch invocation — the
+// executor runs at batch capacity `max_batch`, so a coalesced batch
+// widens the int8-GEMM M dimension instead of walking the graph once
+// per request. Every request's logits are bit-identical to a serial
+// capacity-1 Executor run of the same input — batching is a pure
 // throughput optimization, never a numerics change (asserted by
-// tests/test_serve.cpp and tests/test_batched_executor.cpp). The
-// legacy per-slot fan-out (one pre-built Executor per batch slot, run
-// over the shared ThreadPool) stays available behind
-// ServerOptions::per_slot_fanout so the one-invocation speedup remains
-// measurable (bench/suites/serve.cpp `batched_one_invocation`).
+// tests/test_serve.cpp and tests/test_batched_executor.cpp).
 //
 // Admission control bounds the server under overload:
 //
@@ -53,7 +49,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/thread_pool.hpp"
 #include "src/compile/compiler.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/rt/runtime.hpp"
@@ -62,9 +57,8 @@
 namespace micronas::serve {
 
 struct ServerOptions {
-  /// Most requests coalesced into one batched executor invocation
-  /// (the BatchedExecutor's compiled batch capacity — also its arena
-  /// scale; or, under per_slot_fanout, the number of per-slot arenas).
+  /// Most requests coalesced into one executor invocation: the
+  /// executor's batch capacity, which also scales its arena.
   int max_batch = 8;
   /// How long the dispatcher holds an underfull batch open after its
   /// first request arrived before running it anyway.
@@ -79,11 +73,6 @@ struct ServerOptions {
   /// Default per-request deadline, measured from submit(); <= 0 means
   /// none. The submit() overload sets a per-request value.
   long long deadline_us = 0;
-  /// Legacy batching mode: fan each coalesced batch out over one
-  /// pre-built Executor per slot instead of one BatchedExecutor
-  /// invocation. Kept benchable so the one-invocation speedup claim
-  /// stays measurable; numerics are identical either way.
-  bool per_slot_fanout = false;
 };
 
 struct ServerStats {
@@ -195,13 +184,9 @@ class ModelServer {
 
   std::shared_ptr<const compile::CompiledModel> model_;
   ServerOptions options_;
-  /// One-invocation path: the graph compiled at batch capacity
-  /// max_batch (arena planned via CompiledModel::plan_for_batch).
-  std::unique_ptr<rt::BatchedExecutor> batched_;
-  /// Legacy fan-out path (per_slot_fanout): slot i of a batch always
-  /// runs on lanes_[i], isolated by construction.
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<rt::Executor>> lanes_;
+  /// The executor at batch capacity max_batch (arena planned via
+  /// CompiledModel::plan_for_batch).
+  std::unique_ptr<rt::Executor> executor_;
 
   mutable std::mutex mutex_;
   std::condition_variable wake_;

@@ -2,9 +2,9 @@
 //
 // A MultiModelServer composes the pieces this directory already has:
 // a ModelRegistry (mmap-backed, deduped, zero-copy model handles) and
-// one ModelServer lane per resident model (each lane its own
-// BatchedExecutor, bounded queue, deadlines and admission ledger —
-// exactly the single-model behavior, per model). Requests carry the
+// one ModelServer lane per resident model (each lane its own executor
+// at batch capacity max_batch, bounded queue, deadlines and admission
+// ledger — exactly the single-model behavior, per model). Requests carry the
 // routing axis themselves (serve::Request::model_key); submit() looks
 // the lane up and forwards, so per-model isolation is structural: one
 // model's overload rejects on ITS queue without touching another's.
@@ -86,8 +86,8 @@ class MultiModelServer {
 
   ServerOptions options_;
   ModelRegistry registry_;
-  mutable std::mutex mutex_;  // guards lanes_ (table shape, not the servers)
-  std::map<std::string, std::shared_ptr<ModelServer>> lanes_;
+  mutable std::mutex mutex_;  // guards servers_ (table shape, not the servers)
+  std::map<std::string, std::shared_ptr<ModelServer>> servers_;
 };
 
 }  // namespace micronas::serve

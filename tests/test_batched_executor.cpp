@@ -1,8 +1,9 @@
-// BatchedExecutor: one coalesced batch is ONE executor invocation, and
-// batching must be invisible in the numbers — sample i of any
-// run_batch is bit-identical to a serial Executor::run of the same
-// input, across sampled genotypes, batch sizes (incl. ragged final
-// batches), slot positions and thread counts.
+// Batched execution: at batch capacity N, one coalesced batch is ONE
+// executor invocation, and batching must be invisible in the numbers —
+// sample i of any run_batch is bit-identical to a capacity-1
+// Executor::run of the same input, across sampled genotypes, batch
+// sizes (incl. ragged final batches), slot positions and thread
+// counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,10 +50,10 @@ void expect_bit_identical(const Tensor& got, const Tensor& want, const std::stri
   }
 }
 
-/// Feed `inputs` through a BatchedExecutor in chunks of at most
-/// `chunk` (the final batch is ragged when chunk does not divide the
-/// count) and assert every sample against the serial expectation.
-void check_chunked(rt::BatchedExecutor& batched, const std::vector<Tensor>& inputs,
+/// Feed `inputs` through a batch-capacity executor in chunks of at
+/// most `chunk` (the final batch is ragged when chunk does not divide
+/// the count) and assert every sample against the serial expectation.
+void check_chunked(rt::Executor& batched, const std::vector<Tensor>& inputs,
                    const std::vector<Tensor>& expected, int chunk, const std::string& what) {
   std::size_t done = 0;
   while (done < inputs.size()) {
@@ -91,7 +92,7 @@ TEST(BatchedExecutor, BatchedLogitsBitIdenticalToSerialOnSampledGenotypes) {
     for (const Tensor& in : inputs) expected.push_back(serial.run(in));
 
     for (const int threads : {1, 3}) {
-      rt::BatchedExecutor batched(model.graph, kCapacity, rt::ExecOptions{threads});
+      rt::Executor batched(model.graph, kCapacity, rt::ExecOptions{threads});
       const std::string what =
           "arch " + std::to_string(arch) + " (" + g.to_string() + ") threads " +
           std::to_string(threads);
@@ -112,7 +113,7 @@ TEST(BatchedExecutor, SlotPositionDoesNotChangeLogits) {
   rt::Executor serial(model.graph, model.plan, rt::ExecOptions{1});
   const Tensor expected = serial.run(inputs[0]);
 
-  rt::BatchedExecutor batched(model.graph, kCapacity, rt::ExecOptions{2});
+  rt::Executor batched(model.graph, kCapacity, rt::ExecOptions{2});
   for (int slot = 0; slot < kCapacity; ++slot) {
     std::vector<Tensor> batch = inputs;
     std::swap(batch[0], batch[static_cast<std::size_t>(slot)]);
@@ -143,8 +144,8 @@ TEST(BatchedExecutor, ArenaScalesWithBatchCapacity) {
   for (const auto& b : model.plan.buffers) largest = std::max(largest, b.size);
   EXPECT_GE(batch_plan.arena_bytes, largest * kCapacity);
 
-  rt::BatchedExecutor from_plan(model.graph, batch_plan, kCapacity, rt::ExecOptions{1});
-  rt::BatchedExecutor self_planned(model.graph, kCapacity, rt::ExecOptions{1});
+  rt::Executor from_plan(model.graph, batch_plan, kCapacity, rt::ExecOptions{1});
+  rt::Executor self_planned(model.graph, kCapacity, rt::ExecOptions{1});
   EXPECT_EQ(from_plan.arena_bytes(), self_planned.arena_bytes());
   EXPECT_EQ(from_plan.batch_capacity(), kCapacity);
 
@@ -168,7 +169,7 @@ TEST(BatchedExecutor, FloatPipelineBatchesBitIdentically) {
   for (const Tensor& in : inputs) expected.push_back(serial.run(in));
 
   for (const int threads : {1, 2}) {
-    rt::BatchedExecutor batched(model.graph, kCapacity, rt::ExecOptions{threads});
+    rt::Executor batched(model.graph, kCapacity, rt::ExecOptions{threads});
     check_chunked(batched, inputs, expected, kCapacity,
                   "float pipeline, threads " + std::to_string(threads));
   }
@@ -180,7 +181,7 @@ TEST(BatchedExecutor, FullyFoldedConstOutputBroadcasts) {
   const compile::CompiledModel model = compile_small(nb201::Genotype(), /*quantize=*/false);
   ASSERT_TRUE(model.graph.node(model.graph.output()).is_const());
 
-  rt::BatchedExecutor batched(model.graph, 3, rt::ExecOptions{1});
+  rt::Executor batched(model.graph, 3, rt::ExecOptions{1});
   const std::vector<Tensor> inputs = sample_inputs(3, 9);
   const std::vector<Tensor> logits = batched.run_batch(std::span<const Tensor>(inputs));
   ASSERT_EQ(logits.size(), 3u);
@@ -190,7 +191,7 @@ TEST(BatchedExecutor, FullyFoldedConstOutputBroadcasts) {
 
 TEST(BatchedExecutor, RejectsBadBatchesAndPlans) {
   const compile::CompiledModel model = compile_small(nb201::Genotype::from_index(5));
-  rt::BatchedExecutor batched(model.graph, 2, rt::ExecOptions{1});
+  rt::Executor batched(model.graph, 2, rt::ExecOptions{1});
 
   // Empty and over-capacity batches.
   EXPECT_THROW(batched.run_batch(std::span<const Tensor>()), std::invalid_argument);
@@ -202,9 +203,12 @@ TEST(BatchedExecutor, RejectsBadBatchesAndPlans) {
   mixed[1] = Tensor(Shape{1, 3, 4, 4});
   EXPECT_THROW(batched.run_batch(std::span<const Tensor>(mixed)), std::invalid_argument);
 
-  // Capacity must be positive, and a batch-1 plan is not a batch-4 plan.
-  EXPECT_THROW(rt::BatchedExecutor(model.graph, 0, rt::ExecOptions{1}), std::invalid_argument);
-  EXPECT_THROW(rt::BatchedExecutor(model.graph, model.plan, 4, rt::ExecOptions{1}),
+  // Capacity must be positive, a batch-1 plan is not a batch-4 plan,
+  // and a batch-4 plan is not a capacity-1 plan.
+  EXPECT_THROW(rt::Executor(model.graph, 0, rt::ExecOptions{1}), std::invalid_argument);
+  EXPECT_THROW(rt::Executor(model.graph, model.plan, 4, rt::ExecOptions{1}),
+               std::invalid_argument);
+  EXPECT_THROW(rt::Executor(model.graph, model.plan_for_batch(4), rt::ExecOptions{1}),
                std::invalid_argument);
 }
 

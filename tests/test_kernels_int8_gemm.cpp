@@ -4,7 +4,7 @@
 // selection table can route to them — exact int32 accumulation means
 // layout and schedule cannot legally change a single output byte.
 // Also pins the packing layout (ABI: serialized into .mnpkg PACK
-// sections), the selection table itself, and the BatchedExecutor
+// sections), the selection table itself, and the executor's
 // per-sample parallelism gate these kernels run behind.
 #include <gtest/gtest.h>
 
@@ -326,7 +326,7 @@ TEST(BatchedDispatchGate, SampleIoBytesCountsRealBytesNotElements) {
   bool saw_int8 = false, saw_f32 = false;
   for (const ir::Node& node : model.graph.nodes()) {
     if (node.is_const() || node.op == ir::OpKind::kInput) continue;
-    const std::size_t bytes = BatchedExecutor::sample_io_bytes(model.graph, node);
+    const std::size_t bytes = Executor::sample_io_bytes(model.graph, node);
     if (bytes == 0 || bytes == ~std::size_t{0}) continue;  // heavy ops: always parallel
     const auto elem_bytes = [](ir::DType t) {
       return t == ir::DType::kI8 ? std::size_t{1} : sizeof(float);
@@ -346,7 +346,7 @@ TEST(BatchedDispatchGate, SampleIoBytesCountsRealBytesNotElements) {
   // An int8 tensor of N elements must gate on N bytes (not 4N): a
   // 16x16x16 int8 activation (4 KB in+out ~ 12 KB with two inputs) sits
   // far below the 32 KB gate even though 4N would put f32 there.
-  EXPECT_LT(std::size_t{3} * 16 * 16 * 16, BatchedExecutor::kMinParallelSampleBytes);
+  EXPECT_LT(std::size_t{3} * 16 * 16 * 16, Executor::kMinParallelSampleBytes);
   (void)saw_f32;
 }
 

@@ -230,8 +230,8 @@ TEST(MemoryPlanner, OptimizedPlansAreValidSmallerAndBitIdenticalOn25Genotypes) {
     rt::Executor threaded(tuned.graph, tuned.plan, rt::ExecOptions{3, &tuned.packed});
     expect_bit_identical(threaded.run(input), want, g.to_string() + " threads=3");
 
-    rt::BatchedExecutor batched(tuned.graph, tuned.plan_for_batch(3), 3,
-                                rt::ExecOptions{3, &tuned.packed});
+    rt::Executor batched(tuned.graph, tuned.plan_for_batch(3), 3,
+                         rt::ExecOptions{3, &tuned.packed});
     const std::vector<Tensor> batch = {input, input, input};
     const std::vector<Tensor> logits = batched.run_batch(std::span<const Tensor>(batch));
     for (std::size_t i = 0; i < logits.size(); ++i) {
@@ -286,8 +286,7 @@ TEST(MemoryPlanner, StreamingMeetsHalvedBudgetBitIdentically) {
   // higher — 1.5x the unstreamed batch-1 arena still forces strips.
   rt::MemoryPlanOptions batched_opts = options.plan;
   batched_opts.arena_budget = arena + arena / 2;
-  rt::BatchedExecutor batched(streamed.graph, 2, rt::ExecOptions{1, &streamed.packed},
-                              batched_opts);
+  rt::Executor batched(streamed.graph, 2, rt::ExecOptions{1, &streamed.packed}, batched_opts);
   const std::vector<Tensor> batch = {input, input};
   const std::vector<Tensor> logits = batched.run_batch(std::span<const Tensor>(batch));
   expect_bit_identical(logits[0], want, "streamed batched slot 0");

@@ -5,6 +5,7 @@
 // and repeated runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -185,23 +186,26 @@ TEST(Int8Kernels, QConvHandlesAsymmetricInputZeroPointAtBorders) {
 
 // --------------------------------------------- end-to-end determinism
 
-compile::CompiledModel small_compiled(std::uint64_t seed = 1) {
+compile::CompiledModel small_compiled(std::uint64_t seed = 1, int batch = 1,
+                                      bool quantize = true) {
   compile::CompilerOptions options;
   options.macro.cells_per_stage = 1;
   options.macro.input_size = 12;
   options.seed = seed;
+  options.batch = batch;
+  options.quantize = quantize;
   return compile::compile_genotype(
       nb201::Genotype::from_string("|nor_conv_3x3~0|+|none~0|skip_connect~1|+"
                                    "|avg_pool_3x3~0|nor_conv_1x1~1|nor_conv_3x3~2|"),
       options);
 }
 
-Tensor probe(int size) {
+Tensor probe(int size, int batch = 1) {
   DatasetSpec spec;
   spec.height = spec.width = size;
   Rng rng(5);
   SyntheticDataset data(spec, rng);
-  return data.sample_batch(1, rng).images;
+  return data.sample_batch(batch, rng).images;
 }
 
 TEST(Int8Runtime, BitIdenticalAcrossRunsThreadsAndPlanModes) {
@@ -226,6 +230,52 @@ TEST(Int8Runtime, BitIdenticalAcrossRunsThreadsAndPlanModes) {
   rt::Executor unplanned(model.graph, rt::ExecOptions{3});
   const Tensor y = unplanned.run(input);
   for (std::size_t i = 0; i < y.numel(); ++i) ASSERT_EQ(y[i], reference[i]);
+}
+
+// A graph compiled at batch 3 runs all three samples in one slot of a
+// capacity-1 executor. The float pipeline keeps every sample's logits
+// bit-identical to the batch-1 graph of the same seed, sample by
+// sample.
+TEST(Int8Runtime, FloatGraphAtBatchThreeMatchesBatchOnePerSample) {
+  const compile::CompiledModel batch3 = small_compiled(7, 3, /*quantize=*/false);
+  const compile::CompiledModel batch1 = small_compiled(7, 1, /*quantize=*/false);
+  const Tensor input = probe(12, 3);
+  ASSERT_EQ(input.shape()[0], 3);
+
+  rt::Executor exec3(batch3.graph, batch3.plan, rt::ExecOptions{1});
+  rt::Executor exec1(batch1.graph, batch1.plan, rt::ExecOptions{1});
+  const Tensor y3 = exec3.run(input);
+  const std::size_t per_in = input.numel() / 3;
+  const std::size_t per_out = y3.numel() / 3;
+  for (int s = 0; s < 3; ++s) {
+    Tensor one(Shape{1, input.shape()[1], input.shape()[2], input.shape()[3]});
+    std::copy_n(input.data().begin() + static_cast<std::ptrdiff_t>(s * per_in), per_in,
+                one.data().begin());
+    const Tensor y1 = exec1.run(one);
+    ASSERT_EQ(y1.numel(), per_out);
+    for (std::size_t i = 0; i < per_out; ++i) {
+      ASSERT_EQ(y3[s * per_out + i], y1[i]) << "sample " << s << " logit " << i;
+    }
+  }
+}
+
+// The int8 pipeline compiled (and calibrated) at batch 3 agrees with
+// itself planned at 1 and 3 threads and unplanned.
+TEST(Int8Runtime, Int8GraphAtBatchThreeAgreesAcrossThreadsAndPlanModes) {
+  const compile::CompiledModel model = small_compiled(7, 3);
+  const Tensor input = probe(12, 3);
+
+  rt::Executor planned1(model.graph, model.plan, rt::ExecOptions{1});
+  const Tensor reference = planned1.run(input);
+  ASSERT_EQ(reference.numel(), 30U);
+  rt::Executor planned3(model.graph, model.plan, rt::ExecOptions{3});
+  rt::Executor unplanned(model.graph, rt::ExecOptions{1});
+  const Tensor a = planned3.run(input);
+  const Tensor b = unplanned.run(input);
+  for (std::size_t i = 0; i < reference.numel(); ++i) {
+    ASSERT_EQ(a[i], reference[i]) << "planned, 3 threads, logit " << i;
+    ASSERT_EQ(b[i], reference[i]) << "unplanned, logit " << i;
+  }
 }
 
 TEST(Int8Runtime, ExecutorRejectsNonF32Endpoints) {

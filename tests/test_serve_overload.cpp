@@ -239,33 +239,5 @@ TEST(ModelServerOverload, ConcurrentStopUnderOverloadDrainsWithoutDeadlock) {
   EXPECT_EQ(stats.accepted, stats.requests + stats.dropped);
 }
 
-// Overload semantics are mode-independent: the legacy per-slot fan-out
-// path enforces the same bounded queue and deadline contract.
-TEST(ModelServerOverload, FanoutPathEnforcesTheSameAdmissionControl) {
-  serve::ServerOptions options;
-  options.max_batch = 4;
-  options.max_wait_us = 10'000'000;
-  options.max_queue = 2;
-  options.per_slot_fanout = true;
-  serve::ModelServer server(compiled_small(), options);
-
-  const std::vector<Tensor> inputs = sample_inputs(4, 53);
-  std::future<Tensor> doomed = server.submit(inputs[0], /*deadline_us=*/-1);
-  EXPECT_THROW(doomed.get(), serve::DeadlineExpiredError);
-
-  std::vector<std::future<Tensor>> futures;
-  futures.push_back(server.submit(inputs[1]));
-  futures.push_back(server.submit(inputs[2]));
-  EXPECT_THROW(server.submit(inputs[3]), serve::QueueFullError);
-
-  server.stop();
-  for (std::future<Tensor>& f : futures) EXPECT_GT(f.get().numel(), 0u);
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.accepted, 3);
-  EXPECT_EQ(stats.rejected, 1);
-  EXPECT_EQ(stats.dropped, 1);
-  EXPECT_EQ(stats.requests, 2);
-}
-
 }  // namespace
 }  // namespace micronas
