@@ -140,10 +140,12 @@ std::vector<Tensor> serve_inputs(int requests, int input_size) {
 /// min wall ms over `reps` bursts.
 double burst_ms(serve::ModelServer& server, const std::vector<Tensor>& inputs, int reps) {
   return min_ms_of(reps, [&] {
-    std::vector<std::future<Tensor>> futures;
+    std::vector<std::future<serve::Response>> futures;
     futures.reserve(inputs.size());
-    for (const Tensor& in : inputs) futures.push_back(server.submit(in));
-    for (std::future<Tensor>& f : futures) bench::do_not_optimize(f.get().numel());
+    for (const Tensor& in : inputs) futures.push_back(server.submit({in}));
+    for (std::future<serve::Response>& f : futures) {
+      bench::do_not_optimize(f.get().logits.numel());
+    }
   });
 }
 
@@ -216,18 +218,18 @@ BENCH_CASE_OPTS(serve, serve_overload,
   long long rejected = 0;
   long long served = 0;
   for (auto _ : state) {
-    std::vector<std::future<Tensor>> futures;
+    std::vector<std::future<serve::Response>> futures;
     futures.reserve(inputs.size());
     for (const Tensor& in : inputs) {
       try {
-        futures.push_back(server.submit(in));
+        futures.push_back(server.submit({in}));
       } catch (const serve::QueueFullError&) {
         ++rejected;
       }
     }
-    for (std::future<Tensor>& f : futures) {
+    for (std::future<serve::Response>& f : futures) {
       try {
-        bench::do_not_optimize(f.get().numel());
+        bench::do_not_optimize(f.get().logits.numel());
         ++served;
       } catch (const serve::DeadlineExpiredError&) {
       }

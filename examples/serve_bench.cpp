@@ -378,18 +378,18 @@ int main(int argc, char** argv) {
           DatasetSpec spec;
           spec.height = spec.width = loaded_input;
           SyntheticDataset data(spec, rng);
-          std::vector<std::future<Tensor>> mine;
+          std::vector<std::future<serve::Response>> mine;
           for (int r = 0; r < requests; ++r) {
             try {
-              mine.push_back(server.submit(data.sample_batch(1, rng).images));
+              mine.push_back(server.submit({data.sample_batch(1, rng).images}));
               ++accepted;
             } catch (const serve::QueueFullError&) {
               ++rejected;
             }
           }
-          for (std::future<Tensor>& f : mine) {
+          for (std::future<serve::Response>& f : mine) {
             try {
-              if (f.get().numel() > 0) ++completed;
+              if (f.get().logits.numel() > 0) ++completed;
             } catch (const serve::DeadlineExpiredError&) {
               ++dropped;
             }
@@ -470,13 +470,14 @@ int main(int argc, char** argv) {
 
     serve::ModelServer server(std::move(loaded), sopts);
     std::vector<std::thread> workers;
-    std::vector<std::vector<std::future<Tensor>>> futures(static_cast<std::size_t>(clients));
+    std::vector<std::vector<std::future<serve::Response>>> futures(
+        static_cast<std::size_t>(clients));
     t0 = std::chrono::steady_clock::now();
     for (int c = 0; c < clients; ++c) {
       workers.emplace_back([c, &server, &inputs, &futures] {
         auto& mine = futures[static_cast<std::size_t>(c)];
         for (const Tensor& in : inputs[static_cast<std::size_t>(c)]) {
-          mine.push_back(server.submit(in));
+          mine.push_back(server.submit({in}));
         }
       });
     }
@@ -484,7 +485,7 @@ int main(int argc, char** argv) {
     long long mismatches = 0;
     for (int c = 0; c < clients; ++c) {
       for (std::size_t r = 0; r < futures[static_cast<std::size_t>(c)].size(); ++r) {
-        const Tensor got = futures[static_cast<std::size_t>(c)][r].get();
+        const Tensor got = futures[static_cast<std::size_t>(c)][r].get().logits;
         const Tensor& want = expected[static_cast<std::size_t>(c)][r];
         for (std::size_t i = 0; i < got.numel(); ++i) {
           if (got[i] != want[i]) {

@@ -77,6 +77,11 @@ echo "== smoke: serve_bench (compile -> save -> load -> golden hash -> batched s
   --out "$BUILD_DIR/smoke.mnpkg" --golden tests/golden/compile_report.golden >/dev/null
 echo "serve_bench OK"
 
+echo "== smoke: serve_bench --mode overload (admission ledger balances under a burst) =="
+"./$BUILD_DIR/serve_bench" --mode overload --package "$BUILD_DIR/smoke.mnpkg" --clients 2 \
+  --requests 32 --max-queue 4 --deadline-us 500 >/dev/null
+echo "serve_bench overload OK"
+
 echo "== smoke: model registry (two packages, one process: mmap + dedup + routed serve) =="
 "./$BUILD_DIR/serve_bench" --mode multi --clients 2 --requests 8 --max-batch 4 --threads 2 \
   --out "$BUILD_DIR/smoke_multi1.mnpkg" --out2 "$BUILD_DIR/smoke_multi2.mnpkg" >/dev/null

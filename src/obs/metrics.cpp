@@ -80,10 +80,12 @@ void Histogram::reset() {
 }
 
 std::vector<double> Histogram::default_latency_ms_bounds() {
-  // ~exponential from 50us to 10s; covers per-op kernel times at the
-  // low end and saturated whole-batch serves at the high end.
-  return {0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,  10.0,
-          25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 10000.0};
+  constexpr int kPerOctave = 8;
+  std::vector<double> bounds;
+  for (int i = -5 * kPerOctave; i <= 14 * kPerOctave; ++i) {
+    bounds.push_back(std::exp2(static_cast<double>(i) / kPerOctave));
+  }
+  return bounds;
 }
 
 // -------------------------------------------------------- MetricsRegistry

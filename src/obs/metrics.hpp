@@ -79,8 +79,12 @@ class Histogram {
 
   void reset();
 
-  /// Default latency bounds: 16 roughly-exponential steps from 50us to
-  /// 10s — wide enough for both per-op kernels and whole-batch serves.
+  /// Default latency bounds (ms): 153 bounds, 8 per octave from 2^-5
+  /// (31.25 us) to 2^14 (16.4 s), each 2^(1/8) times the last. A
+  /// percentile of samples in (2^-5, 2^14] therefore lands in the
+  /// bucket of the nearest-rank sample and lies within 2^(1/8) - 1 =
+  /// 9.05% of it — wide enough for per-op kernels and whole-batch
+  /// serves alike.
   static std::vector<double> default_latency_ms_bounds();
 
  private:

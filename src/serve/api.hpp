@@ -2,19 +2,15 @@
 // error taxonomy, shared by ModelServer (single model) and
 // MultiModelServer (registry-routed).
 //
-// History: submit() grew by overload — submit(x), then
-// submit(x, deadline_us) — and the next axis (which model?) would have
-// doubled the set again. serve::Request names every axis instead, so
-// new ones are an aggregate field, not an overload; serve::Response
-// carries the logits plus the per-request timing the old Tensor future
-// silently discarded. The legacy overloads survive as thin deprecated
-// wrappers over the typed call (see model_server.hpp) so existing
-// clients and tests compile unchanged.
+// serve::Request names every axis of a request (input, deadline, which
+// model), so a new axis is an aggregate field, not a submit() overload;
+// every field but the input has a default, so `submit({x})` and
+// `submit({x, deadline_us})` are complete requests. serve::Response
+// carries the logits plus the per-request timing the server measured.
 //
 // Errors form one taxonomy rooted at ServeError (itself a
-// std::runtime_error, so pre-taxonomy clients that caught
-// runtime_error still work): clients that want "anything the serving
-// layer refused" catch ServeError; the concrete types say why.
+// std::runtime_error): clients that want "anything the serving layer
+// refused" catch ServeError; the concrete types say why.
 #pragma once
 
 #include <optional>
@@ -26,8 +22,8 @@
 namespace micronas::serve {
 
 /// Root of the serving error taxonomy. Every refusal the serving layer
-/// itself originates (admission, deadlines, routing) derives from this
-/// one type; executor errors (bad input shape, runtime failures)
+/// itself originates (admission, deadlines, routing, a stopped server)
+/// derives from this one type; executor errors (bad input shape, runtime failures)
 /// propagate unwrapped, because they are the model's verdict, not the
 /// server's.
 class ServeError : public std::runtime_error {
@@ -66,10 +62,10 @@ struct Request {
   /// Deadline measured from submit(), in microseconds. nullopt defers
   /// to ServerOptions::deadline_us; values <= 0 are already expired (a
   /// guaranteed drop — tests use this for deterministic coverage).
-  std::optional<long long> deadline_us;
+  std::optional<long long> deadline_us = std::nullopt;
   /// Which model serves this request. Ignored by a single-model
   /// ModelServer; required routing key for MultiModelServer.
-  std::string model_key;
+  std::string model_key = {};
 };
 
 /// What the future resolves to: logits plus the per-request timing the

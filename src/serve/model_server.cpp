@@ -1,10 +1,7 @@
 #include "src/serve/model_server.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/obs/trace.hpp"
@@ -13,29 +10,19 @@ namespace micronas::serve {
 
 namespace {
 
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+using Clock = std::chrono::steady_clock;
+
+/// `from` + `us`, saturating at time_point::max() (never) where
+/// <chrono>'s signed nanosecond multiply would overflow; `us` <= 0 is
+/// `from` itself (already due).
+Clock::time_point after_us(Clock::time_point from, long long us) {
+  if (us <= 0) return from;
+  const auto left =
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::time_point::max() - from);
+  return us >= left.count() ? Clock::time_point::max() : from + std::chrono::microseconds(us);
 }
 
 }  // namespace
-
-std::string ServerStats::to_string() const {
-  std::ostringstream ss;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%lld requests in %lld batches (mean batch %.2f; accepted %lld, rejected %lld, "
-                "dropped %lld), %.1f req/s, latency p50 %.3f ms p90 %.3f ms p99 %.3f ms max "
-                "%.3f ms",
-                requests, batches, mean_batch, accepted, rejected, dropped, throughput_rps,
-                p50_ms, p90_ms, p99_ms, max_ms);
-  ss << buf;
-  return ss.str();
-}
 
 ModelServer::ModelServer(compile::CompiledModel model, ServerOptions options)
     : ModelServer(std::make_shared<const compile::CompiledModel>(std::move(model)), options) {}
@@ -71,38 +58,17 @@ std::future<Response> ModelServer::submit(Request request) {
   Pending pending;
   pending.input = std::move(request.input);
   pending.model_key = std::move(request.model_key);
-  pending.typed = true;
-  std::future<Response> result = pending.response_promise.get_future();
+  pending.enqueued = Clock::now();
   // An explicit deadline (even <= 0: already expired) always binds;
   // nullopt defers to the server-wide default.
-  const bool has_deadline = request.deadline_us.has_value() || options_.deadline_us > 0;
-  enqueue(std::move(pending), has_deadline, request.deadline_us.value_or(options_.deadline_us));
-  return result;
-}
-
-std::future<Tensor> ModelServer::submit(Tensor input) {
-  Pending pending;
-  pending.input = std::move(input);
-  std::future<Tensor> result = pending.tensor_promise.get_future();
-  enqueue(std::move(pending), options_.deadline_us > 0, options_.deadline_us);
-  return result;
-}
-
-std::future<Tensor> ModelServer::submit(Tensor input, long long deadline_us) {
-  Pending pending;
-  pending.input = std::move(input);
-  std::future<Tensor> result = pending.tensor_promise.get_future();
-  enqueue(std::move(pending), true, deadline_us);
-  return result;
-}
-
-void ModelServer::enqueue(Pending pending, bool has_deadline, long long deadline_us) {
-  pending.enqueued = std::chrono::steady_clock::now();
-  pending.deadline = has_deadline ? pending.enqueued + std::chrono::microseconds(deadline_us)
-                                  : std::chrono::steady_clock::time_point::max();
+  pending.deadline = request.deadline_us.has_value() || options_.deadline_us > 0
+                         ? after_us(pending.enqueued,
+                                    request.deadline_us.value_or(options_.deadline_us))
+                         : Clock::time_point::max();
+  std::future<Response> result = pending.promise.get_future();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) throw std::runtime_error("ModelServer::submit: server is stopped");
+    if (stopping_) throw ServeError("ModelServer::submit: server is stopped");
     if (options_.max_queue > 0 && queue_.size() >= options_.max_queue) {
       ++rejected_;
       metric_rejected_->add();
@@ -118,6 +84,7 @@ void ModelServer::enqueue(Pending pending, bool has_deadline, long long deadline
     queue_.push_back(std::move(pending));
   }
   wake_.notify_all();
+  return result;
 }
 
 void ModelServer::stop() {
@@ -150,7 +117,7 @@ void ModelServer::stop() {
 }
 
 void ModelServer::drop_expired_locked(std::vector<Pending>& dropped) {
-  const auto now = std::chrono::steady_clock::now();
+  const auto now = Clock::now();
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (it->deadline <= now) {
       ++dropped_;
@@ -178,8 +145,7 @@ void ModelServer::dispatcher_loop() {
       if (!queue_.empty()) {
         // Hold the batch open until it is full, the oldest request has
         // waited max_wait_us, or the server is stopping.
-        const auto deadline =
-            queue_.front().enqueued + std::chrono::microseconds(options_.max_wait_us);
+        const auto deadline = after_us(queue_.front().enqueued, options_.max_wait_us);
         while (!stopping_ && static_cast<int>(queue_.size()) < options_.max_batch &&
                wake_.wait_until(lock, deadline,
                                 [this] {
@@ -203,7 +169,7 @@ void ModelServer::dispatcher_loop() {
     // Promises resolve outside the lock; dropped_ was already counted,
     // so a client that observed the error also observes the counter.
     for (Pending& req : dropped) {
-      req.fail(std::make_exception_ptr(DeadlineExpiredError(
+      req.promise.set_exception(std::make_exception_ptr(DeadlineExpiredError(
           "ModelServer: request deadline expired before a batch picked it up")));
     }
     if (!batch.empty()) run_batch(batch);
@@ -214,8 +180,8 @@ void ModelServer::run_batch(std::vector<Pending>& batch) {
   obs::Span span("serve.batch");
   span.tag("requests", static_cast<long long>(batch.size()));
   // Dispatch timestamp: the queue_ms / total_ms split in Response.
-  const auto dispatched = std::chrono::steady_clock::now();
-  std::vector<Tensor> results(batch.size());
+  const auto dispatched = Clock::now();
+  std::vector<Response> responses(batch.size());
   std::vector<std::exception_ptr> errors(batch.size());
   // ONE executor invocation for the whole coalesced batch. Requests
   // with a bad input shape fail individually (their future rethrows)
@@ -240,7 +206,7 @@ void ModelServer::run_batch(std::vector<Pending>& batch) {
       std::vector<Tensor> logits =
           executor_->run_batch(std::span<const Tensor* const>(good.data(), good.size()));
       for (std::size_t g = 0; g < logits.size(); ++g) {
-        results[slot[g]] = std::move(logits[g]);
+        responses[slot[g]].logits = std::move(logits[g]);
       }
     } catch (...) {
       for (std::size_t g = 0; g < slot.size(); ++g) {
@@ -251,7 +217,7 @@ void ModelServer::run_batch(std::vector<Pending>& batch) {
 
   // Telemetry strictly before the promises: a client that observed its
   // future ready must also observe its request in stats().
-  const auto done = std::chrono::steady_clock::now();
+  const auto done = Clock::now();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++batches_;
@@ -259,59 +225,44 @@ void ModelServer::run_batch(std::vector<Pending>& batch) {
     completed_ += static_cast<long long>(batch.size());
     metric_completed_->add(batch.size());
     last_done_ = done;
-    for (const Pending& req : batch) {
-      const double ms = std::chrono::duration<double, std::milli>(done - req.enqueued).count();
-      metric_latency_ms_->observe(ms);
-      if (latency_ms_.size() < kLatencySampleCap) {
-        latency_ms_.push_back(ms);
-      } else {
-        latency_ms_[latency_next_] = ms;
-        latency_next_ = (latency_next_ + 1) % kLatencySampleCap;
-      }
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      Response& resp = responses[i];
+      resp.total_ms = std::chrono::duration<double, std::milli>(done - batch[i].enqueued).count();
+      latency_ms_.observe(resp.total_ms);
+      metric_latency_ms_->observe(resp.total_ms);
     }
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (errors[i]) {
-      batch[i].fail(errors[i]);
-    } else if (batch[i].typed) {
-      Response resp;
-      resp.logits = std::move(results[i]);
-      resp.model_key = std::move(batch[i].model_key);
-      resp.queue_ms =
-          std::chrono::duration<double, std::milli>(dispatched - batch[i].enqueued).count();
-      resp.total_ms = std::chrono::duration<double, std::milli>(done - batch[i].enqueued).count();
-      resp.batch_size = static_cast<int>(batch.size());
-      batch[i].response_promise.set_value(std::move(resp));
-    } else {
-      batch[i].tensor_promise.set_value(std::move(results[i]));
+      batch[i].promise.set_exception(errors[i]);
+      continue;
     }
+    Response& resp = responses[i];
+    resp.model_key = std::move(batch[i].model_key);
+    resp.queue_ms =
+        std::chrono::duration<double, std::milli>(dispatched - batch[i].enqueued).count();
+    resp.batch_size = static_cast<int>(batch.size());
+    batch[i].promise.set_value(std::move(resp));
   }
 }
 
 ServerStats ModelServer::stats() const {
-  std::vector<double> sorted;
   ServerStats s;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    sorted = latency_ms_;
-    s.requests = completed_;
-    s.accepted = accepted_;
-    s.rejected = rejected_;
-    s.dropped = dropped_;
-    s.batches = batches_;
-    if (completed_ > 0) {
-      const double span =
-          std::chrono::duration<double>(last_done_ - first_enqueue_).count();
-      s.throughput_rps = span > 0.0 ? static_cast<double>(completed_) / span : 0.0;
-    }
+  std::lock_guard<std::mutex> lock(mutex_);
+  s.requests = completed_;
+  s.accepted = accepted_;
+  s.rejected = rejected_;
+  s.dropped = dropped_;
+  s.batches = batches_;
+  if (completed_ > 0) {
+    const double span = std::chrono::duration<double>(last_done_ - first_enqueue_).count();
+    s.throughput_rps = span > 0.0 ? static_cast<double>(completed_) / span : 0.0;
   }
-  std::sort(sorted.begin(), sorted.end());
-  s.mean_batch = s.batches > 0 ? static_cast<double>(s.requests) / static_cast<double>(s.batches)
-                               : 0.0;
-  s.p50_ms = percentile(sorted, 0.50);
-  s.p90_ms = percentile(sorted, 0.90);
-  s.p99_ms = percentile(sorted, 0.99);
-  s.max_ms = sorted.empty() ? 0.0 : sorted.back();
+  s.mean_batch = batches_ > 0 ? static_cast<double>(completed_) / static_cast<double>(batches_)
+                              : 0.0;
+  s.p50_ms = latency_ms_.percentile(0.50);
+  s.p90_ms = latency_ms_.percentile(0.90);
+  s.p99_ms = latency_ms_.percentile(0.99);
   return s;
 }
 

@@ -4,18 +4,17 @@
 //
 // A ModelServer serves one immutable CompiledModel (shared_ptr —
 // typically a registry entry aliased to its mapped package) through a
-// request queue and a dispatcher thread. Clients submit a typed
+// request queue and a dispatcher thread. Clients submit a
 // serve::Request and get a std::future<serve::Response> (logits +
-// per-request timing; the legacy Tensor-future overloads remain as
-// deprecated wrappers — see api.hpp for the taxonomy rationale);
-// the dispatcher coalesces up to `max_batch` queued requests (waiting
-// at most `max_wait_us` after the first one arrived) and dispatches
-// the whole batch as ONE rt::Executor::run_batch invocation — the
-// executor runs at batch capacity `max_batch`, so a coalesced batch
-// widens the int8-GEMM M dimension instead of walking the graph once
-// per request. Every request's logits are bit-identical to a serial
-// capacity-1 Executor run of the same input — batching is a pure
-// throughput optimization, never a numerics change (asserted by
+// per-request timing; see api.hpp for the request shape and the error
+// taxonomy); the dispatcher coalesces up to `max_batch` queued requests
+// (waiting at most `max_wait_us` after the first one arrived) and
+// dispatches the whole batch as ONE rt::Executor::run_batch invocation
+// — the executor runs at batch capacity `max_batch`, so a coalesced
+// batch widens the int8-GEMM M dimension instead of walking the graph
+// once per request. Every request's logits are bit-identical to a
+// serial capacity-1 Executor run of the same input — batching is a
+// pure throughput optimization, never a numerics change (asserted by
 // tests/test_serve.cpp and tests/test_batched_executor.cpp).
 //
 // Admission control bounds the server under overload:
@@ -23,7 +22,7 @@
 //   * a bounded queue (`max_queue`): submit() on a full queue throws
 //     QueueFullError synchronously — offered load past capacity is
 //     turned away at the door, not buffered without bound;
-//   * per-request deadlines (`deadline_us`, or the submit() overload):
+//   * deadlines (Request::deadline_us, else ServerOptions::deadline_us):
 //     a request still queued when its deadline passes is dropped by
 //     the dispatcher and its future rethrows DeadlineExpiredError;
 //   * exact accepted/rejected/dropped counters in ServerStats — every
@@ -32,10 +31,12 @@
 //     counters balance offered load (asserted by
 //     tests/test_serve_overload.cpp).
 //
-// The server keeps a bounded ring of recent per-request latency
-// samples and exact batch-size counters; stats() aggregates them into
-// the throughput/percentile summary examples/serve_bench and
-// bench/suites/serve.cpp report.
+// Each request's latency (enqueue -> logits ready) is measured once and
+// recorded three times: in its Response::total_ms, in the lane's own
+// histogram (the ServerStats percentiles) and in the process-wide
+// serve.latency_ms histogram. Both histograms use the registry's
+// latency bounds, so stats() and the registry report one latency, over
+// the lane's whole life like its exact counters, in O(1) memory.
 #pragma once
 
 #include <chrono>
@@ -71,7 +72,7 @@ struct ServerOptions {
   /// past it throws QueueFullError. 0 = unbounded.
   std::size_t max_queue = 1024;
   /// Default per-request deadline, measured from submit(); <= 0 means
-  /// none. The submit() overload sets a per-request value.
+  /// none. Request::deadline_us overrides it per request.
   long long deadline_us = 0;
 };
 
@@ -84,12 +85,9 @@ struct ServerStats {
   long long batches = 0;        // batched executor invocations
   double mean_batch = 0.0;      // requests / batches
   double p50_ms = 0.0;          // request latency: enqueue -> logits ready,
-  double p90_ms = 0.0;          // over the most recent samples (bounded ring)
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
+  double p90_ms = 0.0;          // over the lane's life, from its histogram
+  double p99_ms = 0.0;          // (within 9.05% of exact; see metrics.hpp)
   double throughput_rps = 0.0;  // completed / (last completion - first enqueue)
-
-  std::string to_string() const;
 };
 
 class ModelServer {
@@ -110,29 +108,16 @@ class ModelServer {
   ModelServer(const ModelServer&) = delete;
   ModelServer& operator=(const ModelServer&) = delete;
 
-  /// The typed API: enqueue one Request (input must match the model's
-  /// input shape). The future yields a Response (logits + per-request
-  /// timing), or rethrows the executor's error or
-  /// DeadlineExpiredError. Throws QueueFullError when the bounded
-  /// queue is full and std::runtime_error after stop().
-  /// Request::model_key is echoed into the Response; a single-model
-  /// server does not route on it (MultiModelServer does).
+  /// Enqueue one Request (input must match the model's input shape).
+  /// The future yields a Response (logits + per-request timing), or
+  /// rethrows the executor's error or DeadlineExpiredError. Throws
+  /// QueueFullError when the bounded queue is full and ServeError
+  /// after stop(). Request::model_key is echoed into the Response; a
+  /// single-model server does not route on it (MultiModelServer does).
   std::future<Response> submit(Request request);
 
-  /// Deprecated: legacy overload, equivalent to
-  /// submit(Request{input, nullopt, ""}) with the Response reduced to
-  /// its logits. Prefer the typed submit(Request).
-  std::future<Tensor> submit(Tensor input);
-
-  /// Deprecated: legacy overload, equivalent to submit(Request{input,
-  /// deadline_us, ""}) with the Response reduced to its logits (zero
-  /// or negative deadlines are already expired — a guaranteed drop,
-  /// which tests use for deterministic drop coverage). Prefer the
-  /// typed submit(Request).
-  std::future<Tensor> submit(Tensor input, long long deadline_us);
-
   /// Blocking convenience wrapper around submit().
-  Tensor infer(const Tensor& input) { return submit(input).get(); }
+  Response infer(Request request) { return submit(std::move(request)).get(); }
 
   /// Drain the queue, finish in-flight batches and join the
   /// dispatcher; queued requests whose deadline has passed are dropped
@@ -141,40 +126,21 @@ class ModelServer {
   /// wins the join) blocks until the dispatcher has exited, so the
   /// queue-drained postcondition holds for all callers and the
   /// destructor can never destroy state the dispatcher still uses.
-  /// submit() after stop() throws std::runtime_error.
+  /// submit() after stop() throws ServeError.
   void stop();
 
   ServerStats stats() const;
 
-  const compile::CompiledModel& model() const { return *model_; }
-  /// The shared handle itself — what a router passes between lanes
-  /// without re-loading (keeps any backing mapping alive with it).
-  const std::shared_ptr<const compile::CompiledModel>& model_ptr() const { return model_; }
-
  private:
-  /// A queued request: the union of both submit surfaces. Exactly one
-  /// promise is live, per `typed`; resolve()/fail() pick it.
   struct Pending {
     Tensor input;
     std::string model_key;
-    bool typed = false;                   // which promise to resolve
-    std::promise<Response> response_promise;
-    std::promise<Tensor> tensor_promise;
+    std::promise<Response> promise;
     std::chrono::steady_clock::time_point enqueued;
     // time_point::max() = no deadline.
     std::chrono::steady_clock::time_point deadline;
-
-    void fail(std::exception_ptr error) {
-      if (typed) {
-        response_promise.set_exception(std::move(error));
-      } else {
-        tensor_promise.set_exception(std::move(error));
-      }
-    }
   };
 
-  /// Admission control + enqueue, shared by every submit surface.
-  void enqueue(Pending pending, bool has_deadline, long long deadline_us);
   void dispatcher_loop();
   void run_batch(std::vector<Pending>& batch);
   /// Move deadline-expired requests out of queue_ into `dropped`,
@@ -194,13 +160,9 @@ class ModelServer {
   bool stopping_ = false;
   bool dispatcher_done_ = false;  // set by the stop() that joined
 
-  // Telemetry (guarded by mutex_). Latency percentiles are computed
-  // over a bounded ring of the most recent samples so a long-running
-  // server's memory and stats() cost stay O(1) in request count; the
-  // request/batch/admission counters are exact.
-  static constexpr std::size_t kLatencySampleCap = 16384;
-  std::vector<double> latency_ms_;  // ring once kLatencySampleCap is reached
-  std::size_t latency_next_ = 0;    // ring write cursor
+  // Telemetry (guarded by mutex_): exact counters, and the lane's
+  // latency histogram (unregistered, same bounds as serve.latency_ms).
+  obs::Histogram latency_ms_{obs::Histogram::default_latency_ms_bounds()};
   long long batches_ = 0;
   long long completed_ = 0;
   long long accepted_ = 0;

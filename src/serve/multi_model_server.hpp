@@ -52,7 +52,7 @@ class MultiModelServer {
   /// Route on request.model_key and forward to that model's lane.
   /// Throws UnknownModelError for a key without a lane, and the lane's
   /// admission errors (QueueFullError, stopped-server) synchronously —
-  /// all deriving from ServeError except the latter.
+  /// all deriving from ServeError.
   std::future<Response> submit(Request request);
 
   /// Blocking convenience wrapper around submit().

@@ -1,12 +1,13 @@
 // Observability subsystem tests: span recording semantics (nesting,
 // thread attribution, ring wraparound, the disabled no-op), the
 // Chrome-trace export round-tripping through the strict JSON parser,
-// histogram "le"-bucket edge cases, the metrics registry JSON schema,
-// the MICRONAS_LOG_LEVEL env hook, and a writers-vs-snapshot stress
-// test that the CI TSan job runs to certify the lock-free ring
-// handshake.
+// histogram "le"-bucket edge cases, the default latency bounds' stated
+// error, the metrics registry JSON schema, the MICRONAS_LOG_LEVEL env
+// hook, and a writers-vs-snapshot stress test that the CI TSan job
+// runs to certify the lock-free ring handshake.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "src/common/log.hpp"
+#include "src/common/rng.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 
@@ -288,6 +290,36 @@ TEST(ObsHistogram, RejectsNonIncreasingBounds) {
   ASSERT_EQ(inf_only.bucket_counts().size(), 1U);
   EXPECT_EQ(inf_only.bucket_counts()[0], 1U);
   EXPECT_DOUBLE_EQ(inf_only.percentile(0.5), 0.0);
+}
+
+// For samples in (2^-5, 2^14] ms, every percentile of the default
+// latency bounds lies within 2^(1/8) - 1 of the nearest-rank sample.
+// Sparse sets, with most buckets holding one sample or none, are the
+// hard case, so n starts at 1.
+TEST(ObsHistogram, DefaultLatencyBoundsKeepTheStatedError) {
+  const std::vector<double> bounds = obs::Histogram::default_latency_ms_bounds();
+  EXPECT_EQ(bounds.size(), 153U);
+  EXPECT_DOUBLE_EQ(bounds.front(), 1.0 / 32.0);
+  EXPECT_DOUBLE_EQ(bounds.back(), 16384.0);
+  const double bound = std::exp2(1.0 / 8.0) - 1.0;
+  for (const int n : {1, 2, 3, 7, 31, 256, 1000, 4096}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      Rng rng(seed * 7919 + static_cast<std::uint64_t>(n));
+      obs::Histogram h(bounds);
+      std::vector<double> samples(static_cast<std::size_t>(n));
+      for (double& x : samples) {
+        x = std::exp2(14.0 - rng.uniform(0.0, 19.0));  // log-uniform in (2^-5, 2^14]
+        h.observe(x);
+      }
+      std::sort(samples.begin(), samples.end());
+      for (const double q : {0.0, 0.01, 0.5, 0.9, 0.99, 1.0}) {
+        const auto rank = static_cast<std::size_t>(std::ceil(q * n));
+        const double exact = samples[std::max<std::size_t>(1, rank) - 1];
+        EXPECT_LE(std::abs(h.percentile(q) - exact), bound * exact)
+            << "n " << n << " seed " << seed << " q " << q;
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------- registry

@@ -1,13 +1,18 @@
 // ModelServer: batching must be a pure throughput optimization — every
 // request's logits bit-identical to a serial Executor run — across
-// batch sizes, thread counts, and a save/load round trip of the model.
+// batch sizes, thread counts, and a save/load round trip of the model;
+// and stats() must report the same latency as the metrics registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/data/synthetic.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/rt/runtime.hpp"
 #include "src/serialize/serialize.hpp"
 #include "src/serve/model_server.hpp"
@@ -57,10 +62,10 @@ TEST(ModelServer, BatchedLogitsEqualSerialLogits) {
   options.max_wait_us = 200;
   options.threads = 3;
   serve::ModelServer server(compiled_small(), options);
-  std::vector<std::future<Tensor>> futures;
-  for (const Tensor& in : inputs) futures.push_back(server.submit(in));
+  std::vector<std::future<serve::Response>> futures;
+  for (const Tensor& in : inputs) futures.push_back(server.submit({in}));
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    expect_bit_identical(futures[i].get(), expected[i],
+    expect_bit_identical(futures[i].get().logits, expected[i],
                          "request " + std::to_string(i) + " (batched vs serial)");
   }
 
@@ -71,7 +76,6 @@ TEST(ModelServer, BatchedLogitsEqualSerialLogits) {
   EXPECT_GE(stats.mean_batch, 1.0);
   EXPECT_LE(stats.p50_ms, stats.p90_ms);
   EXPECT_LE(stats.p90_ms, stats.p99_ms);
-  EXPECT_LE(stats.p99_ms, stats.max_ms);
   EXPECT_GT(stats.throughput_rps, 0.0);
 }
 
@@ -90,7 +94,7 @@ TEST(ModelServer, ServesAReloadedPackageBitExactly) {
   options.threads = 2;
   serve::ModelServer server(serialize::load_model_bytes(bytes), options);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    expect_bit_identical(server.infer(inputs[i]), expected[i],
+    expect_bit_identical(server.infer({inputs[i]}).logits, expected[i],
                          "reloaded request " + std::to_string(i));
   }
 }
@@ -103,9 +107,9 @@ TEST(ModelServer, CoalescesConcurrentClientsIntoBatches) {
   serve::ModelServer server(compiled_small(), options);
 
   const std::vector<Tensor> inputs = sample_inputs(16, 3);
-  std::vector<std::future<Tensor>> futures;
-  for (const Tensor& in : inputs) futures.push_back(server.submit(in));
-  for (std::future<Tensor>& f : futures) f.get();
+  std::vector<std::future<serve::Response>> futures;
+  for (const Tensor& in : inputs) futures.push_back(server.submit({in}));
+  for (std::future<serve::Response>& f : futures) f.get();
 
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests, 16);
@@ -118,7 +122,7 @@ TEST(ModelServer, CoalescesConcurrentClientsIntoBatches) {
 
 TEST(ModelServer, RejectsWrongInputShape) {
   serve::ModelServer server(compiled_small(), {});
-  std::future<Tensor> bad = server.submit(Tensor(Shape{1, 3, 4, 4}));
+  std::future<serve::Response> bad = server.submit({Tensor(Shape{1, 3, 4, 4})});
   EXPECT_THROW(bad.get(), std::invalid_argument);
 }
 
@@ -134,8 +138,8 @@ TEST(ModelServer, EveryConcurrentStopWaitsForTheDrain) {
   options.max_wait_us = 1'000'000;  // stop() must cut the wait short
   serve::ModelServer server(compiled_small(), options);
   const std::vector<Tensor> inputs = sample_inputs(6, 23);
-  std::vector<std::future<Tensor>> futures;
-  for (const Tensor& in : inputs) futures.push_back(server.submit(in));
+  std::vector<std::future<serve::Response>> futures;
+  for (const Tensor& in : inputs) futures.push_back(server.submit({in}));
 
   std::vector<long long> seen(4, -1);
   std::vector<std::thread> stoppers;
@@ -149,7 +153,7 @@ TEST(ModelServer, EveryConcurrentStopWaitsForTheDrain) {
   for (std::size_t t = 0; t < seen.size(); ++t) {
     EXPECT_EQ(seen[t], 6) << "stop() caller " << t << " returned before the queue drained";
   }
-  for (std::future<Tensor>& f : futures) EXPECT_GT(f.get().numel(), 0u);
+  for (std::future<serve::Response>& f : futures) EXPECT_GT(f.get().logits.numel(), 0u);
 }
 
 TEST(ModelServer, StopDrainsPendingRequests) {
@@ -158,12 +162,45 @@ TEST(ModelServer, StopDrainsPendingRequests) {
   options.max_wait_us = 1'000'000;  // stop() must cut the wait short
   serve::ModelServer server(compiled_small(), options);
   const std::vector<Tensor> inputs = sample_inputs(3, 17);
-  std::vector<std::future<Tensor>> futures;
-  for (const Tensor& in : inputs) futures.push_back(server.submit(in));
+  std::vector<std::future<serve::Response>> futures;
+  for (const Tensor& in : inputs) futures.push_back(server.submit({in}));
   server.stop();
-  for (std::future<Tensor>& f : futures) EXPECT_GT(f.get().numel(), 0u);
-  EXPECT_THROW(server.submit(inputs[0]), std::runtime_error);
+  for (std::future<serve::Response>& f : futures) EXPECT_GT(f.get().logits.numel(), 0u);
+  EXPECT_THROW(server.submit({inputs[0]}), serve::ServeError);
   EXPECT_EQ(server.stats().requests, 3);
+}
+
+// One latency truth: stats() and the registry's serve.latency_ms read
+// the same per-request samples through the same bounds, so their
+// percentiles agree exactly, and both lie within the bounds' stated
+// error of the exact nearest-rank percentile of the responses' own
+// total_ms.
+TEST(ModelServer, StatsAndRegistryReportOneLatency) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  registry.reset();
+  serve::ServerOptions options;
+  options.max_batch = 4;
+  options.threads = 1;
+  serve::ModelServer server(compiled_small(), options);
+  const std::vector<Tensor> inputs = sample_inputs(48, 31);
+  std::vector<std::future<serve::Response>> futures;
+  for (const Tensor& in : inputs) futures.push_back(server.submit({in}));
+  std::vector<double> total_ms;
+  for (std::future<serve::Response>& f : futures) total_ms.push_back(f.get().total_ms);
+  std::sort(total_ms.begin(), total_ms.end());
+
+  const serve::ServerStats stats = server.stats();
+  const obs::Histogram& shared = registry.latency_histogram("serve.latency_ms");
+  ASSERT_EQ(shared.count(), total_ms.size());
+  const double bound = std::exp2(1.0 / 8.0) - 1.0;
+  const std::pair<double, double> reported[] = {
+      {0.50, stats.p50_ms}, {0.90, stats.p90_ms}, {0.99, stats.p99_ms}};
+  for (const auto& [q, ms] : reported) {
+    EXPECT_DOUBLE_EQ(ms, shared.percentile(q)) << "q " << q;
+    const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(total_ms.size())));
+    const double exact = total_ms[std::max<std::size_t>(1, rank) - 1];
+    EXPECT_LE(std::abs(ms - exact), bound * exact) << "q " << q << " exact " << exact;
+  }
 }
 
 }  // namespace

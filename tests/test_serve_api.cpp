@@ -5,7 +5,7 @@
 //     model key, batch size, and queue/total latency;
 //   * the error taxonomy is catchable at every level: QueueFullError /
 //     DeadlineExpiredError / UnknownModelError each derive from
-//     serve::ServeError (and std::runtime_error for legacy callers);
+//     serve::ServeError (itself a std::runtime_error);
 //   * MultiModelServer routes on Request::model_key: each model serves
 //     from its own lane, unknown keys reject synchronously, unload
 //     closes exactly one lane. Runs under TSan in CI.

@@ -2,12 +2,15 @@
 // bounded queue turns excess load away synchronously (QueueFullError),
 // expired requests are dropped with a distinct future error
 // (DeadlineExpiredError), the accepted/rejected/dropped/completed
-// counters exactly balance the offered load, and concurrent stop()
-// under pressure drains without deadlock. Runs under TSan in CI.
+// counters exactly balance the offered load, concurrent stop() under
+// pressure drains without deadlock, and deadlines or hold windows too
+// long for the clock mean "never". Runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -50,14 +53,14 @@ TEST(ModelServerOverload, FullQueueRejectsSynchronously) {
   serve::ModelServer server(compiled_small(), options);
 
   const std::vector<Tensor> inputs = sample_inputs(4, 41);
-  std::vector<std::future<Tensor>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(server.submit(inputs[static_cast<std::size_t>(i)]));
-  EXPECT_THROW(server.submit(inputs[3]), serve::QueueFullError);
+  std::vector<std::future<serve::Response>> futures;
+  for (std::size_t i = 0; i < 3; ++i) futures.push_back(server.submit({inputs[i]}));
+  EXPECT_THROW(server.submit({inputs[3]}), serve::QueueFullError);
 
   // The rejected caller never got a future; the admitted three still
   // complete with logits once the server drains.
   server.stop();
-  for (std::future<Tensor>& f : futures) EXPECT_GT(f.get().numel(), 0u);
+  for (std::future<serve::Response>& f : futures) EXPECT_GT(f.get().logits.numel(), 0u);
 
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.accepted, 3);
@@ -66,28 +69,31 @@ TEST(ModelServerOverload, FullQueueRejectsSynchronously) {
   EXPECT_EQ(stats.requests, 3);
 }
 
-// The per-request submit() overload with a non-positive deadline is
-// already expired — a guaranteed drop, and the future must rethrow
-// DeadlineExpiredError specifically (not a generic runtime_error a
-// client would confuse with an executor failure).
+// A non-positive Request::deadline_us is already expired — a
+// guaranteed drop, and the future must rethrow DeadlineExpiredError
+// specifically (not a generic runtime_error a client would confuse
+// with an executor failure).
 TEST(ModelServerOverload, ExpiredDeadlineDropsWithDistinctError) {
   serve::ServerOptions options;
   options.max_batch = 4;
   options.max_wait_us = 200;
   serve::ModelServer server(compiled_small(), options);
 
-  const std::vector<Tensor> inputs = sample_inputs(3, 43);
-  std::future<Tensor> doomed = server.submit(inputs[0], /*deadline_us=*/-1);
+  const std::vector<Tensor> inputs = sample_inputs(4, 43);
+  std::future<serve::Response> doomed = server.submit({inputs[0], /*deadline_us=*/-1});
   EXPECT_THROW(doomed.get(), serve::DeadlineExpiredError);
 
   // A drop poisons nothing: later no-deadline requests still serve.
-  EXPECT_GT(server.infer(inputs[1]).numel(), 0u);
-  std::future<Tensor> doomed2 = server.submit(inputs[2], 0);
+  EXPECT_GT(server.infer({inputs[1]}).logits.numel(), 0u);
+  std::future<serve::Response> doomed2 = server.submit({inputs[2], 0});
   EXPECT_THROW(doomed2.get(), serve::DeadlineExpiredError);
+  std::future<serve::Response> doomed3 =
+      server.submit({inputs[3], std::numeric_limits<long long>::min()});
+  EXPECT_THROW(doomed3.get(), serve::DeadlineExpiredError);
 
   const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.accepted, 3);
-  EXPECT_EQ(stats.dropped, 2);
+  EXPECT_EQ(stats.accepted, 4);
+  EXPECT_EQ(stats.dropped, 3);
   EXPECT_EQ(stats.requests, 1);
   EXPECT_EQ(stats.rejected, 0);
 }
@@ -102,9 +108,9 @@ TEST(ModelServerOverload, DefaultDeadlineExpiresHeldRequests) {
   serve::ModelServer server(compiled_small(), options);
 
   const std::vector<Tensor> inputs = sample_inputs(5, 47);
-  std::vector<std::future<Tensor>> futures;
-  for (const Tensor& in : inputs) futures.push_back(server.submit(in));
-  for (std::future<Tensor>& f : futures) {
+  std::vector<std::future<serve::Response>> futures;
+  for (const Tensor& in : inputs) futures.push_back(server.submit({in}));
+  for (std::future<serve::Response>& f : futures) {
     EXPECT_THROW(f.get(), serve::DeadlineExpiredError);
   }
 
@@ -137,22 +143,23 @@ TEST(ModelServerOverload, CountersExactlyBalanceOfferedLoad) {
           sample_inputs(kPerClient, 600 + static_cast<std::uint64_t>(c));
       // Burst-submit the whole load before resolving anything — that is
       // what actually fills the bounded queue and forces rejections.
-      std::vector<std::future<Tensor>> futures;
+      std::vector<std::future<serve::Response>> futures;
       for (int i = 0; i < kPerClient; ++i) {
+        // Every third request carries a 1 us deadline: some expire in
+        // the queue, some get batched first — both ledgers must agree
+        // whichever way each race lands.
+        serve::Request request{inputs[static_cast<std::size_t>(i)]};
+        if (i % 3 == 0) request.deadline_us = 1;
         try {
-          // Every third request carries a 1 us deadline: some expire in
-          // the queue, some get batched first — both ledgers must agree
-          // whichever way each race lands.
-          futures.push_back(i % 3 == 0 ? server.submit(inputs[static_cast<std::size_t>(i)], 1)
-                                       : server.submit(inputs[static_cast<std::size_t>(i)]));
+          futures.push_back(server.submit(std::move(request)));
           ++accepted;
         } catch (const serve::QueueFullError&) {
           ++rejected;
         }
       }
-      for (std::future<Tensor>& f : futures) {
+      for (std::future<serve::Response>& f : futures) {
         try {
-          const Tensor logits = f.get();
+          const Tensor logits = f.get().logits;
           EXPECT_GT(logits.numel(), 0u);
           ++completed;
         } catch (const serve::DeadlineExpiredError&) {
@@ -193,19 +200,19 @@ TEST(ModelServerOverload, ConcurrentStopUnderOverloadDrainsWithoutDeadlock) {
       const std::vector<Tensor> inputs =
           sample_inputs(30, 700 + static_cast<std::uint64_t>(c));
       for (const Tensor& in : inputs) {
-        std::future<Tensor> f;
+        std::future<serve::Response> f;
         try {
-          f = server.submit(in);
+          f = server.submit({in});
         } catch (const serve::QueueFullError&) {
           ++rejected;
           continue;
-        } catch (const std::runtime_error&) {
+        } catch (const serve::ServeError&) {
           ++after_stop;  // server stopped while we were submitting
           continue;
         }
         ++accepted;
         try {
-          EXPECT_GT(f.get().numel(), 0u);
+          EXPECT_GT(f.get().logits.numel(), 0u);
           ++completed;
         } catch (const serve::DeadlineExpiredError&) {
           ++dropped;
@@ -237,6 +244,47 @@ TEST(ModelServerOverload, ConcurrentStopUnderOverloadDrainsWithoutDeadlock) {
   EXPECT_EQ(stats.requests, completed.load());
   EXPECT_EQ(stats.dropped, dropped.load());
   EXPECT_EQ(stats.accepted, stats.requests + stats.dropped);
+}
+
+// A deadline past what steady_clock can represent means "never": the
+// sum saturates instead of overflowing <chrono>'s nanosecond multiply
+// into the past and dropping the request at once. The same holds for
+// the server-wide default deadline.
+TEST(ModelServerOverload, DeadlineBeyondTheClockNeverExpires) {
+  constexpr long long kForever = std::numeric_limits<long long>::max();
+  const std::vector<Tensor> inputs = sample_inputs(2, 53);
+
+  serve::ModelServer per_request(compiled_small(), {});
+  EXPECT_GT(per_request.infer({inputs[0], kForever}).logits.numel(), 0u);
+  EXPECT_EQ(per_request.stats().requests, 1);
+  EXPECT_EQ(per_request.stats().dropped, 0);
+
+  serve::ServerOptions options;
+  options.deadline_us = kForever;
+  serve::ModelServer server_wide(compiled_small(), options);
+  EXPECT_GT(server_wide.infer({inputs[1]}).logits.numel(), 0u);
+  EXPECT_EQ(server_wide.stats().requests, 1);
+  EXPECT_EQ(server_wide.stats().dropped, 0);
+}
+
+// A hold window past what steady_clock can represent holds an underfull
+// batch until stop(), instead of wrapping into the past and running
+// every request alone. The pause gives a dispatcher that does not hold
+// time to run the first request by itself.
+TEST(ModelServerOverload, HoldWindowBeyondTheClockHoldsUntilStop) {
+  serve::ServerOptions options;
+  options.max_batch = 4;
+  options.max_wait_us = std::numeric_limits<long long>::max();
+  serve::ModelServer server(compiled_small(), options);
+  const std::vector<Tensor> inputs = sample_inputs(2, 59);
+  std::vector<std::future<serve::Response>> futures;
+  futures.push_back(server.submit({inputs[0]}));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  futures.push_back(server.submit({inputs[1]}));
+  server.stop();
+  for (std::future<serve::Response>& f : futures) EXPECT_EQ(f.get().batch_size, 2);
+  EXPECT_EQ(server.stats().batches, 1);
+  EXPECT_EQ(server.stats().requests, 2);
 }
 
 }  // namespace
