@@ -13,6 +13,7 @@
 #include "src/mcusim/profiler.hpp"
 #include "src/proxies/linear_regions.hpp"
 #include "src/proxies/ntk.hpp"
+#include "src/rt/kernels_f32.hpp"
 #include "src/rt/kernels_int8.hpp"
 #include "src/rt/kernels_int8_gemm.hpp"
 #include "src/tensor/ops.hpp"
@@ -45,13 +46,39 @@ BENCH_CASE_ARGS(micro_kernels, conv2d_forward_gemm, {4, 8, 16}) {
   Tensor w(Shape{c, c, 3, 3});
   rng.fill_normal(x.data());
   rng.fill_normal(w.data());
+  std::vector<float> columns;  // reused across calls, as Conv2dLayer does
   constexpr int kInner = 8;
   for (auto _ : state) {
     for (int i = 0; i < kInner; ++i) {
-      bench::do_not_optimize(ops::conv2d_forward_gemm(x, w, nullptr, 1, 1));
+      bench::do_not_optimize(ops::conv2d_forward_gemm(x, w, nullptr, 1, 1, columns));
     }
   }
   state.set_items_processed(9.0 * c * c * 256 * kInner);
+}
+
+/// The f32 conv on the deploy stages calibration runs: 3x3, stride 1,
+/// pad 1, at 16 ch x 32 px, 32 x 16 and 64 x 8. Items are MACs.
+BENCH_CASE_ARGS(micro_kernels, conv2d_f32, {16, 32, 64}) {
+  const int c = static_cast<int>(state.arg());
+  const int px = 512 / c;
+  Rng rng(8);
+  std::vector<float> x(static_cast<std::size_t>(c) * px * px);
+  std::vector<float> w(static_cast<std::size_t>(c) * c * 9);
+  std::vector<float> bias(static_cast<std::size_t>(c));
+  rng.fill_normal(x);
+  rng.fill_normal(w);
+  rng.fill_normal(bias);
+  std::vector<float> y(x.size());
+  std::vector<float> columns(rt::conv2d_f32_columns(c, 3, px, px));
+  constexpr int kInner = 4;
+  for (auto _ : state) {
+    for (int i = 0; i < kInner; ++i) {
+      rt::conv2d_f32(x.data(), w.data(), bias.data(), y.data(), 1, c, px, px, c, 3, 1, 1, px, px,
+                     /*fused_relu=*/true, columns.data(), nullptr);
+      bench::do_not_optimize(y.data());
+    }
+  }
+  state.set_items_processed(9.0 * c * c * px * px * kInner);
 }
 
 BENCH_CASE_ARGS(micro_kernels, conv2d_backward, {4, 8}) {

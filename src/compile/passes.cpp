@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <vector>
 
 #include "src/rt/kernels_f32.hpp"
 
@@ -90,9 +91,12 @@ Tensor evaluate_const_node(const ir::Graph& g, const ir::Node& n) {
     case ir::OpKind::kConv2d: {
       const Shape& x = in(0).shape();
       const float* bias = n.inputs.size() == 3 ? in(2).data().data() : nullptr;
+      std::vector<float> columns(
+          rt::conv2d_f32_columns(x[1], n.conv.kernel, n.type.shape[2], n.type.shape[3]));
       rt::conv2d_f32(in(0).data().data(), in(1).data().data(), bias, out.data().data(), x[0],
                      x[1], x[2], x[3], n.type.shape[1], n.conv.kernel, n.conv.stride, n.conv.pad,
-                     n.type.shape[2], n.type.shape[3], n.conv.fused_relu, nullptr);
+                     n.type.shape[2], n.type.shape[3], n.conv.fused_relu, columns.data(),
+                     nullptr);
       return out;
     }
     case ir::OpKind::kLinear: {

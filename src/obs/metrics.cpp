@@ -82,7 +82,7 @@ void Histogram::reset() {
 std::vector<double> Histogram::default_latency_ms_bounds() {
   constexpr int kPerOctave = 8;
   std::vector<double> bounds;
-  for (int i = -5 * kPerOctave; i <= 14 * kPerOctave; ++i) {
+  for (int i = -10 * kPerOctave; i <= 14 * kPerOctave; ++i) {
     bounds.push_back(std::exp2(static_cast<double>(i) / kPerOctave));
   }
   return bounds;

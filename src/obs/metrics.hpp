@@ -79,12 +79,13 @@ class Histogram {
 
   void reset();
 
-  /// Default latency bounds (ms): 153 bounds, 8 per octave from 2^-5
-  /// (31.25 us) to 2^14 (16.4 s), each 2^(1/8) times the last. A
-  /// percentile of samples in (2^-5, 2^14] therefore lands in the
+  /// Default latency bounds (ms): 193 bounds, 8 per octave from 2^-10
+  /// (0.98 us) to 2^14 (16.4 s), each 2^(1/8) times the last. A
+  /// percentile of samples in (2^-10, 2^14] therefore lands in the
   /// bucket of the nearest-rank sample and lies within 2^(1/8) - 1 =
-  /// 9.05% of it — wide enough for per-op kernels and whole-batch
-  /// serves alike.
+  /// 9.05% of it — wide enough for sub-microsecond compile passes and
+  /// whole-batch serves alike. The first bucket interpolates from 0,
+  /// so a percentile there is off by at most 2^-10 ms.
   static std::vector<double> default_latency_ms_bounds();
 
  private:

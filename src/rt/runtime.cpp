@@ -61,6 +61,20 @@ std::size_t max_qconv_scratch_bytes(const ir::Graph& graph, int batch_mult) {
   return max_bytes;
 }
 
+/// Floats of f32 conv im2col scratch one sample slot needs: the
+/// largest conv2d_f32_columns over the graph's kConv2d nodes. A slot
+/// holding a graph batch reuses it sample by sample.
+std::size_t max_conv_f32_columns(const ir::Graph& graph) {
+  std::size_t max_floats = 0;
+  for (const auto& node : graph.nodes()) {
+    if (node.op != ir::OpKind::kConv2d) continue;
+    const int cin = graph.node(node.inputs[0]).type.shape[1];
+    max_floats = std::max(max_floats, conv2d_f32_columns(cin, node.conv.kernel,
+                                                         node.type.shape[2], node.type.shape[3]));
+  }
+  return max_floats;
+}
+
 /// The unplanned layout: every value at its own aligned arena offset,
 /// so no two values ever share bytes (the plan's naive total).
 MemoryPlan disjoint_plan(const ir::Graph& graph) {
@@ -361,7 +375,12 @@ Executor::Executor(const ir::Graph& graph, MemoryPlan plan, int batch_capacity,
     s.stride = static_cast<std::size_t>(node.type.bytes());
   }
   weight_sums_ = compute_weight_sums(graph_);
-  columns_.resize(max_qconv_scratch_bytes(graph_, capacity_));
+  // One conv scratch for both conv kinds: the int8 kernels take it at
+  // batch capacity, and each sample slot's f32 convs get a region of
+  // their own, since each_sample may run several slots at once.
+  f32_columns_ = max_conv_f32_columns(graph_);
+  columns_.resize(std::max(max_qconv_scratch_bytes(graph_, capacity_),
+                           static_cast<std::size_t>(capacity_) * f32_columns_ * sizeof(float)));
   stream_scratch_.resize(static_cast<std::size_t>(plan_.stream_scratch_bytes));
   if (options_.packed != nullptr) {
     packed_ = options_.packed;
@@ -494,10 +513,12 @@ void Executor::dispatch(const ir::Node& node, int n) {
       // One slot splits its output channels over the pool; several
       // slots split over samples instead, never both.
       each_sample(node, n, [&](int s) {
+        float* columns = reinterpret_cast<float*>(columns_.data()) +
+                         static_cast<std::size_t>(s) * f32_columns_;
         conv2d_f32(f32(0, s), f32(1, s), node.inputs.size() == 3 ? f32(2, s) : nullptr,
                    slot<float>(node.id, s), x[0], x[1], x[2], x[3], shape[1], node.conv.kernel,
                    node.conv.stride, node.conv.pad, shape[2], shape[3], node.conv.fused_relu,
-                   n == 1 ? pool_.get() : nullptr);
+                   columns, n == 1 ? pool_.get() : nullptr);
       });
       return;
     case ir::OpKind::kBatchNorm:

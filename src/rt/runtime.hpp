@@ -21,8 +21,8 @@
 //     (independent samples, partitioned over the thread pool above a
 //     per-sample byte gate). A partial batch uses the first n slots.
 //
-// Float kernels are deliberately naive direct loops (the reference
-// semantics); the int8 kernels (kernels_int8.hpp) are the optimized
+// Float kernels (kernels_f32.hpp) serve calibration and the float
+// reference pipeline; the int8 kernels (kernels_int8.hpp) are the
 // deployment path. Results are bit-identical across repeated runs,
 // thread counts, batch sizes and slot positions: sample i of
 // run_batch({x0.., xi, ..}) equals a capacity-1 run(xi), because no
@@ -160,7 +160,8 @@ class Executor {
 
   std::vector<std::byte> arena_;
   std::vector<Slots> slots_;                 // indexed by node id
-  std::vector<std::int8_t> columns_;         // im2col scratch at batch capacity
+  std::vector<std::int8_t> columns_;         // conv im2col scratch at batch capacity
+  std::size_t f32_columns_ = 0;              // floats of f32 conv scratch per sample slot
   std::vector<std::int8_t> stream_scratch_;  // row-strip gather + stage (one sample)
   // Per-node Σ_k w[c,k] for kQConv2d / kQLinear, computed once.
   std::vector<std::vector<std::int32_t>> weight_sums_;

@@ -24,10 +24,10 @@ Conv2dLayer::Conv2dLayer(int cin, int cout, int kernel, int stride, int pad, boo
 
 Tensor Conv2dLayer::forward(const Tensor& input) {
   cached_input_ = input;
-  // GEMM path: bit-compatible semantics with ops::conv2d_forward (see
-  // tests/test_ops_grad.cpp equivalence check), much faster per proxy
-  // evaluation.
-  return ops::conv2d_forward_gemm(input, weight_, has_bias_ ? &bias_ : nullptr, stride_, pad_);
+  // rt::conv2d_f32 through the Tensor wrapper, over this layer's own
+  // column buffer: allocated on the first forward, reused after.
+  return ops::conv2d_forward_gemm(input, weight_, has_bias_ ? &bias_ : nullptr, stride_, pad_,
+                                  columns_);
 }
 
 Tensor Conv2dLayer::backward(const Tensor& grad_output) {

@@ -76,6 +76,7 @@ class Conv2dLayer final : public Layer {
   Tensor weight_, bias_;
   Tensor grad_weight_, grad_bias_;
   Tensor cached_input_;
+  std::vector<float> columns_;  // im2col scratch, reused across forwards
 };
 
 /// ReLU; exposes the last activation mask for the linear-region proxy.

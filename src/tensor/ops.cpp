@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "src/rt/kernels_f32.hpp"
+
 namespace micronas::ops {
 
 int conv_out_size(int in, int kernel, int stride, int pad) {
@@ -57,38 +59,8 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor* b
   return out;
 }
 
-void im2col(const Tensor& input, int sample, int kernel, int stride, int pad,
-            std::vector<float>& columns, int out_h, int out_w) {
-  const int Cin = input.shape()[1], H = input.shape()[2], W = input.shape()[3];
-  const std::size_t cols = static_cast<std::size_t>(out_h) * out_w;
-  columns.assign(static_cast<std::size_t>(Cin) * kernel * kernel * cols, 0.0F);
-  const auto x = input.data();
-  const std::size_t sample_base = static_cast<std::size_t>(sample) * Cin * H * W;
-
-  std::size_t row = 0;
-  for (int ci = 0; ci < Cin; ++ci) {
-    for (int kh = 0; kh < kernel; ++kh) {
-      for (int kw = 0; kw < kernel; ++kw, ++row) {
-        float* dst = columns.data() + row * cols;
-        for (int ho = 0; ho < out_h; ++ho) {
-          const int hi = ho * stride - pad + kh;
-          if (hi < 0 || hi >= H) {
-            dst += out_w;
-            continue;
-          }
-          const std::size_t src_row = sample_base + (static_cast<std::size_t>(ci) * H + hi) * W;
-          for (int wo = 0; wo < out_w; ++wo, ++dst) {
-            const int wi = wo * stride - pad + kw;
-            if (wi >= 0 && wi < W) *dst = x[src_row + wi];
-          }
-        }
-      }
-    }
-  }
-}
-
 Tensor conv2d_forward_gemm(const Tensor& input, const Tensor& weight, const Tensor* bias,
-                           int stride, int pad) {
+                           int stride, int pad, std::vector<float>& columns) {
   if (input.shape().rank() != 4 || weight.shape().rank() != 4) {
     throw std::invalid_argument("conv2d_gemm: rank-4 input and weight required");
   }
@@ -100,30 +72,11 @@ Tensor conv2d_forward_gemm(const Tensor& input, const Tensor& weight, const Tens
   const int Ho = conv_out_size(H, K, stride, pad);
   const int Wo = conv_out_size(W, K, stride, pad);
   Tensor out(Shape{N, Cout, Ho, Wo});
-
-  const std::size_t kdim = static_cast<std::size_t>(Cin) * K * K;
-  const std::size_t cols = static_cast<std::size_t>(Ho) * Wo;
-  const auto w = weight.data();
-  auto y = out.data();
-  std::vector<float> columns;
-
-  for (int n = 0; n < N; ++n) {
-    im2col(input, n, K, stride, pad, columns, Ho, Wo);
-    // GEMM: out[n] = W[Cout x kdim] * columns[kdim x cols], with an
-    // ikj loop order so the inner loop streams both operands.
-    for (int co = 0; co < Cout; ++co) {
-      float* orow = y.data() + (static_cast<std::size_t>(n) * Cout + co) * cols;
-      const float b = bias ? (*bias)[static_cast<std::size_t>(co)] : 0.0F;
-      for (std::size_t j = 0; j < cols; ++j) orow[j] = b;
-      const float* wrow = w.data() + static_cast<std::size_t>(co) * kdim;
-      for (std::size_t k = 0; k < kdim; ++k) {
-        const float wk = wrow[k];
-        if (wk == 0.0F) continue;
-        const float* crow = columns.data() + k * cols;
-        for (std::size_t j = 0; j < cols; ++j) orow[j] += wk * crow[j];
-      }
-    }
-  }
+  const std::size_t need = rt::conv2d_f32_columns(Cin, K, Ho, Wo);
+  if (columns.size() < need) columns.resize(need);
+  rt::conv2d_f32(input.data().data(), weight.data().data(), bias ? bias->data().data() : nullptr,
+                 out.data().data(), N, Cin, H, W, Cout, K, stride, pad, Ho, Wo,
+                 /*fused_relu=*/false, columns.data(), nullptr);
   return out;
 }
 

@@ -15,21 +15,19 @@ namespace micronas::ops {
 /// 2-D convolution, NCHW. weight shape [Cout, Cin, K, K]; optional bias [Cout].
 /// Output spatial size: (H + 2*pad - K)/stride + 1 (must divide exactly or
 /// truncate like standard frameworks — we use floor semantics).
-/// Reference implementation (direct loops, double accumulation).
+/// Reference implementation (direct loops, double accumulation): the
+/// tolerance oracle for the float kernels.
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor* bias,
                       int stride, int pad);
 
-/// im2col + GEMM convolution: identical semantics to conv2d_forward
-/// (validated against it in tests), substantially faster for the
-/// channel counts the proxy networks use. This is the path CellNet's
-/// convolution layers run.
+/// The same convolution in float: a Tensor wrapper over
+/// rt::conv2d_f32 (im2col + GEMM), the path CellNet's convolution
+/// layers run. `columns` is the caller's im2col scratch, grown to fit
+/// and reused across calls. Each output sums the same products in the
+/// same (ci, kh, kw) order as a per-output float loop, so it stays
+/// within float rounding of conv2d_forward (tests/test_kernels_f32.cpp).
 Tensor conv2d_forward_gemm(const Tensor& input, const Tensor& weight, const Tensor* bias,
-                           int stride, int pad);
-
-/// Lower one sample's padded receptive fields into a [Cin*K*K, Ho*Wo]
-/// column matrix (exposed for testing).
-void im2col(const Tensor& input, int sample, int kernel, int stride, int pad,
-            std::vector<float>& columns, int out_h, int out_w);
+                           int stride, int pad, std::vector<float>& columns);
 
 struct Conv2dGrads {
   Tensor grad_input;

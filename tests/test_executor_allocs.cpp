@@ -1,9 +1,11 @@
 // Heap allocations per executor run must not grow with the graph: a
 // node dispatch allocates nothing, at batch capacity 1 (deploy) and at
-// batch capacity 8 (serving). The 1-cell and 5-cell skeletons of one
-// genotype differ only in how many nodes the walk dispatches, so equal
-// counts on both pin the per-node cost at zero. This test lives in its
-// own binary because it replaces the global operator new.
+// batch capacity 8 (serving), on the int8 graph and on the float
+// pipeline (whose f32 convs use the executor's conv scratch). The
+// 1-cell and 5-cell skeletons of one genotype differ only in how many
+// nodes the walk dispatches, so equal counts on both pin the per-node
+// cost at zero. This test lives in its own binary because it replaces
+// the global operator new.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,9 +41,10 @@ std::atomic<long long> g_allocations{0};
 namespace micronas {
 namespace {
 
-compile::CompiledModel skeleton(int cells) {
+compile::CompiledModel skeleton(int cells, bool quantize) {
   compile::CompilerOptions options;
   options.macro.cells_per_stage = cells;
+  options.quantize = quantize;
   options.macro.input_size = 32;
   options.calibration_batches = 1;
   options.seed = 3;
@@ -92,20 +95,25 @@ Counts count_allocations(const compile::CompiledModel& model, int capacity) {
 }
 
 TEST(ExecutorAllocations, PerRunCountDoesNotGrowWithTheGraph) {
-  const compile::CompiledModel small = skeleton(1);
-  const compile::CompiledModel large = skeleton(5);
-  ASSERT_GT(executed_nodes(large.graph), executed_nodes(small.graph));
+  // The int8 deployment graph, and the float pipeline whose f32 convs
+  // take their im2col scratch from the executor.
+  for (const bool quantize : {true, false}) {
+    const compile::CompiledModel small = skeleton(1, quantize);
+    const compile::CompiledModel large = skeleton(5, quantize);
+    ASSERT_GT(executed_nodes(large.graph), executed_nodes(small.graph));
 
-  for (const int capacity : {1, 8}) {
-    const Counts a = count_allocations(small, capacity);
-    const Counts b = count_allocations(large, capacity);
-    const std::string what = "capacity " + std::to_string(capacity) + ": " +
-                             std::to_string(executed_nodes(small.graph)) + " vs " +
-                             std::to_string(executed_nodes(large.graph)) + " executed nodes";
-    std::cout << "[allocs] " << what << ": run " << a.run << " / " << b.run << ", run_batch "
-              << a.run_batch << " / " << b.run_batch << "\n";
-    EXPECT_EQ(a.run, b.run) << what;
-    EXPECT_EQ(a.run_batch, b.run_batch) << what;
+    for (const int capacity : {1, 8}) {
+      const Counts a = count_allocations(small, capacity);
+      const Counts b = count_allocations(large, capacity);
+      const std::string what = std::string(quantize ? "int8" : "float") + ", capacity " +
+                               std::to_string(capacity) + ": " +
+                               std::to_string(executed_nodes(small.graph)) + " vs " +
+                               std::to_string(executed_nodes(large.graph)) + " executed nodes";
+      std::cout << "[allocs] " << what << ": run " << a.run << " / " << b.run << ", run_batch "
+                << a.run_batch << " / " << b.run_batch << "\n";
+      EXPECT_EQ(a.run, b.run) << what;
+      EXPECT_EQ(a.run_batch, b.run_batch) << what;
+    }
   }
 }
 

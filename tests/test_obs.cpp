@@ -298,8 +298,8 @@ TEST(ObsHistogram, RejectsNonIncreasingBounds) {
 // hard case, so n starts at 1.
 TEST(ObsHistogram, DefaultLatencyBoundsKeepTheStatedError) {
   const std::vector<double> bounds = obs::Histogram::default_latency_ms_bounds();
-  EXPECT_EQ(bounds.size(), 153U);
-  EXPECT_DOUBLE_EQ(bounds.front(), 1.0 / 32.0);
+  EXPECT_EQ(bounds.size(), 193U);
+  EXPECT_DOUBLE_EQ(bounds.front(), 1.0 / 1024.0);
   EXPECT_DOUBLE_EQ(bounds.back(), 16384.0);
   const double bound = std::exp2(1.0 / 8.0) - 1.0;
   for (const int n : {1, 2, 3, 7, 31, 256, 1000, 4096}) {
@@ -308,7 +308,7 @@ TEST(ObsHistogram, DefaultLatencyBoundsKeepTheStatedError) {
       obs::Histogram h(bounds);
       std::vector<double> samples(static_cast<std::size_t>(n));
       for (double& x : samples) {
-        x = std::exp2(14.0 - rng.uniform(0.0, 19.0));  // log-uniform in (2^-5, 2^14]
+        x = std::exp2(14.0 - rng.uniform(0.0, 24.0));  // log-uniform in (2^-10, 2^14]
         h.observe(x);
       }
       std::sort(samples.begin(), samples.end());

@@ -7,6 +7,7 @@
 #include <functional>
 
 #include "src/common/rng.hpp"
+#include "src/rt/kernels_f32.hpp"
 #include "src/tensor/ops.hpp"
 
 namespace micronas {
@@ -217,7 +218,8 @@ TEST(Conv2dGemm, MatchesReferenceImplementation) {
     Tensor w = random_tensor(Shape{cout, cin, k, k}, rng);
     Tensor b = random_tensor(Shape{cout}, rng);
     const Tensor ref = ops::conv2d_forward(x, w, &b, stride, pad);
-    const Tensor gemm = ops::conv2d_forward_gemm(x, w, &b, stride, pad);
+    std::vector<float> columns;
+    const Tensor gemm = ops::conv2d_forward_gemm(x, w, &b, stride, pad, columns);
     ASSERT_EQ(ref.shape(), gemm.shape());
     for (std::size_t i = 0; i < ref.numel(); ++i) {
       ASSERT_NEAR(ref[i], gemm[i], 1e-4 * std::max(1.0F, std::abs(ref[i]))) << "cfg " << cin;
@@ -228,8 +230,8 @@ TEST(Conv2dGemm, MatchesReferenceImplementation) {
 TEST(Conv2dGemm, Im2colLowering) {
   // 1x2x2 input, 2x2 kernel, no pad: a single column holding the patch.
   Tensor x = Tensor::from_vector(Shape{1, 1, 2, 2}, {1, 2, 3, 4});
-  std::vector<float> cols;
-  ops::im2col(x, 0, 2, 1, 0, cols, 1, 1);
+  std::vector<float> cols(rt::conv2d_f32_columns(1, 2, 1, 1), -1.0F);
+  rt::im2col_f32(x.data().data(), 1, 2, 2, 2, 1, 0, 1, 1, cols.data());
   ASSERT_EQ(cols.size(), 4U);
   EXPECT_EQ(cols[0], 1.0F);
   EXPECT_EQ(cols[1], 2.0F);
@@ -239,9 +241,10 @@ TEST(Conv2dGemm, Im2colLowering) {
 
 TEST(Conv2dGemm, PaddingZeroFilled) {
   Tensor x = Tensor::from_vector(Shape{1, 1, 1, 1}, {5.0F});
-  std::vector<float> cols;
+  // Poisoned, so a pad cell the lowering failed to write would show.
+  std::vector<float> cols(rt::conv2d_f32_columns(1, 3, 1, 1), -1.0F);
   // 3x3 kernel, pad 1: out 1x1; only the center tap sees the pixel.
-  ops::im2col(x, 0, 3, 1, 1, cols, 1, 1);
+  rt::im2col_f32(x.data().data(), 1, 1, 1, 3, 1, 1, 1, 1, cols.data());
   ASSERT_EQ(cols.size(), 9U);
   for (std::size_t i = 0; i < 9; ++i) {
     EXPECT_EQ(cols[i], i == 4 ? 5.0F : 0.0F);
