@@ -331,6 +331,32 @@ BENCH_CASE(micro_kernels, qconv2d_int8_scalar) {
   state.set_bytes_processed(b.traffic_bytes() * kInner);
 }
 
+/// 3x3 / stride 1 / pad 1 int8 average pool (the NB201 avg_pool_3x3
+/// edge) on the deployed stages: c channels on a 512/c-pixel-wide
+/// plane (16 x 32, 32 x 16, 64 x 8). items = window taps (outputs *
+/// k^2), bytes = input + output.
+BENCH_CASE_ARGS(micro_kernels, qavg_pool, {16, 32, 64}) {
+  const int c = static_cast<int>(state.arg());
+  const int hw = 512 / c;
+  std::mt19937 rng(4321);
+  std::vector<std::int8_t> input(static_cast<std::size_t>(c) * hw * hw), output(input.size());
+  for (auto& v : input) v = static_cast<std::int8_t>(rng());
+  std::vector<std::int32_t> scratch(rt::qavg_pool_scratch(hw, hw, hw));
+  std::int32_t mantissa = 0;
+  int shift = 0;
+  quantize_multiplier(1.0 / 9.0, &mantissa, &shift);
+  constexpr int kInner = 8;
+  for (auto _ : state) {
+    for (int i = 0; i < kInner; ++i) {
+      rt::qavg_pool(input.data(), output.data(), 1, c, hw, hw, 3, 1, 1, hw, hw, -5, mantissa,
+                    shift, 3, scratch.data());
+      bench::do_not_optimize(output.data());
+    }
+  }
+  state.set_items_processed(9.0 * static_cast<double>(input.size()) * kInner);
+  state.set_bytes_processed(2.0 * static_cast<double>(input.size()) * kInner);
+}
+
 /// Classifier-head GEMM: 64 features -> 10 logits.
 BENCH_CASE(micro_kernels, qlinear_int8_gemm) {
   const int in_f = 64, out_f = 10;

@@ -74,37 +74,53 @@ double choose_symmetric_scale(double abs_max);
 /// m ~= mantissa * 2^(shift - 31). Exact for powers of two.
 void quantize_multiplier(double m, std::int32_t* mantissa, int* shift);
 
-/// (a * b) rounded to the high 32 bits of the doubled 64-bit product.
-/// Saturates the single overflow case a == b == INT32_MIN.
-///
-/// This and the two helpers below are defined inline: every int8
-/// kernel calls them once per OUTPUT element, so a function call here
-/// is a measurable fraction of conv/add/pool wall time and blocks the
-/// compiler from vectorizing the requant tail of the kernels.
-inline std::int32_t saturating_rounding_doubling_high_mul(std::int32_t a, std::int32_t b) {
-  const bool overflow = a == b && a == std::numeric_limits<std::int32_t>::min();
-  if (overflow) return std::numeric_limits<std::int32_t>::max();
-  const std::int64_t ab = static_cast<std::int64_t>(a) * static_cast<std::int64_t>(b);
-  const std::int32_t nudge = ab >= 0 ? (1 << 30) : (1 - (1 << 30));
-  return static_cast<std::int32_t>((ab + nudge) / (1LL << 31));
+/// The requant domain: multiply_by_quantized_multiplier is defined for
+/// shift in [-kMaxRequantShift, kMaxRequantShift]. ir::Graph::validate
+/// holds every requantizing node's shifts to it, so a graph that
+/// validates (and so every loaded package) never leaves it.
+inline constexpr int kMaxRequantShift = 31;
+
+inline constexpr bool requant_shift_in_range(int shift) {
+  return shift >= -kMaxRequantShift && shift <= kMaxRequantShift;
 }
 
-/// x / 2^exponent with round-to-nearest, ties away from zero.
+// The requant core below is inline and selects only: every int8 kernel
+// runs it once per OUTPUT element, and with no call and no branch that
+// can throw, the compiler vectorizes the kernels' requant passes.
+
+/// (a * b) rounded to the high 32 bits of the doubled 64-bit product.
+/// Saturates the single overflow case a == b == INT32_MIN.
+inline std::int32_t saturating_rounding_doubling_high_mul(std::int32_t a, std::int32_t b) {
+  const bool overflow = a == b && a == std::numeric_limits<std::int32_t>::min();
+  const std::int64_t ab = static_cast<std::int64_t>(a) * static_cast<std::int64_t>(b);
+  // gemmlowp's (ab + nudge) / 2^31, nudge = ab >= 0 ? 2^30 : 1 - 2^30,
+  // truncating: for ab < 0 the truncation adds 2^31 - 1 before flooring,
+  // so both signs reduce to floor((ab + 2^30) / 2^31). Its low 32 bits
+  // are bits 31..62 of ab + 2^30, which a logical shift yields as well.
+  const auto high = static_cast<std::int32_t>(
+      static_cast<std::uint64_t>(ab + (std::int64_t{1} << 30)) >> 31);
+  return overflow ? std::numeric_limits<std::int32_t>::max() : high;
+}
+
+/// x / 2^exponent with round-to-nearest, ties away from zero, for
+/// exponent in [0, 31] (unchecked: the caller guarantees the range).
+inline std::int32_t rounding_right_shift(std::int32_t x, int exponent) {
+  const auto mask = static_cast<std::int32_t>((std::uint32_t{1} << exponent) - 1U);
+  const std::int32_t remainder = x & mask;
+  const std::int32_t threshold = (mask >> 1) + (x < 0 ? 1 : 0);
+  return (x >> exponent) + (remainder > threshold ? 1 : 0);
+}
+
+/// rounding_right_shift with its exponent range checked.
 inline std::int32_t rounding_divide_by_pot(std::int32_t x, int exponent) {
   if (exponent < 0 || exponent > 31) [[unlikely]] {
     throw std::invalid_argument("rounding_divide_by_pot: exponent out of [0, 31]");
   }
-  if (exponent == 0) return x;
-  const std::int32_t mask = static_cast<std::int32_t>((1LL << exponent) - 1);
-  const std::int32_t remainder = x & mask;
-  std::int32_t threshold = mask >> 1;
-  if (x < 0) threshold += 1;
-  std::int32_t result = x >> exponent;
-  if (remainder > threshold) result += 1;
-  return result;
+  return rounding_right_shift(x, exponent);
 }
 
 /// Apply a quantized multiplier produced by quantize_multiplier.
+/// Precondition: requant_shift_in_range(shift) (unchecked).
 inline std::int32_t multiply_by_quantized_multiplier(std::int32_t x, std::int32_t mantissa,
                                                      int shift) {
   // x * mantissa * 2^(shift - 31): the high mul supplies 2^-31; the
@@ -113,8 +129,8 @@ inline std::int32_t multiply_by_quantized_multiplier(std::int32_t x, std::int32_
   const int right_shift = shift > 0 ? 0 : -shift;
   const std::int32_t shifted =
       static_cast<std::int32_t>(static_cast<std::uint32_t>(x) << left_shift);
-  return rounding_divide_by_pot(saturating_rounding_doubling_high_mul(shifted, mantissa),
-                                right_shift);
+  return rounding_right_shift(saturating_rounding_doubling_high_mul(shifted, mantissa),
+                              right_shift);
 }
 
 /// Round-to-nearest quantization with saturation to [-128, 127].

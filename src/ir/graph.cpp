@@ -140,6 +140,43 @@ const TensorType& in_type(const Graph& g, const Node& n, std::size_t i) {
   return g.node(n.inputs[i]).type;
 }
 
+/// The requant attributes a node's kernel reads: one mantissa and one
+/// shift per output channel on kQConv2d / kQLinear, exactly one of
+/// each on the pools and kQAdd, and every shift used (kQAdd's shift2
+/// too) inside multiply_by_quantized_multiplier's domain. The kernels
+/// run the requant core unchecked on this guarantee. Ops that ignore
+/// the fields leave them unconstrained.
+void check_requant_attrs(const Node& n) {
+  std::size_t want = 0;
+  switch (n.op) {
+    case OpKind::kQConv2d:
+    case OpKind::kQLinear:
+      want = static_cast<std::size_t>(n.type.shape[1]);
+      break;
+    case OpKind::kQAvgPool:
+    case OpKind::kQGlobalAvgPool:
+    case OpKind::kQAdd:
+      want = 1;
+      break;
+    default:
+      return;
+  }
+  const auto fail = [&](const std::string& what) {
+    throw std::logic_error("Graph::validate: " + what + " on " + op_kind_name(n.op) + " %" +
+                           std::to_string(n.id));
+  };
+  if (n.quant.mantissa.size() != want || n.quant.shift.size() != want) {
+    fail(std::to_string(n.quant.mantissa.size()) + " mantissas and " +
+         std::to_string(n.quant.shift.size()) + " shifts, want " + std::to_string(want));
+  }
+  for (const int shift : n.quant.shift) {
+    if (!requant_shift_in_range(shift)) fail("requant shift " + std::to_string(shift));
+  }
+  if (n.op == OpKind::kQAdd && !requant_shift_in_range(n.quant.shift2)) {
+    fail("requant shift2 " + std::to_string(n.quant.shift2));
+  }
+}
+
 }  // namespace
 
 TensorType Graph::infer_type(const Node& n) const {
@@ -345,6 +382,7 @@ void Graph::validate() const {
                                " (" + node.type.to_string() + " vs inferred " + t.to_string() +
                                ")");
       }
+      check_requant_attrs(node);
     }
   }
 }

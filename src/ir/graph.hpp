@@ -151,8 +151,10 @@ class Graph {
   /// and remap ids. Returns the number of nodes removed.
   int compact();
 
-  /// Structural validation (wiring, types, topology of executed nodes);
-  /// throws std::logic_error with a description on violation.
+  /// Structural validation (wiring, types, topology of executed nodes,
+  /// and the requant mantissa/shift counts and shift range every
+  /// requantizing op's kernel relies on); throws std::logic_error with
+  /// a description on violation.
   void validate() const;
 
   /// Reassemble a graph from raw node records — the deserializer path:

@@ -4,29 +4,9 @@
 #include <cmath>
 #include <cstddef>
 
+#include "src/rt/kernel_support.hpp"
+
 namespace micronas::rt {
-
-namespace {
-
-struct TapRange {
-  int begin = 0;
-  int end = 0;  // begin <= end <= out
-};
-
-/// Output positions o in [begin, end) whose tap at offset `tap` of a
-/// window lands inside the input: 0 <= o * stride - pad + tap < in.
-/// The one geometry helper of the f32 window kernels (im2col rows and
-/// columns, avg_pool sweeps). Only about pad / stride outputs at
-/// either edge can miss the input, so it walks in from both ends
-/// instead of dividing.
-TapRange valid_outputs(int in, int out, int tap, int stride, int pad) {
-  TapRange r{0, out};
-  while (r.begin < out && r.begin * stride - pad + tap < 0) ++r.begin;
-  while (r.end > r.begin && (r.end - 1) * stride - pad + tap >= in) --r.end;
-  return r;
-}
-
-}  // namespace
 
 std::size_t conv2d_f32_columns(int cin, int kernel, int out_h, int out_w) {
   return static_cast<std::size_t>(cin) * kernel * kernel * out_h * out_w;

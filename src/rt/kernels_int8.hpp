@@ -16,12 +16,18 @@
 // pixel) accumulation order is unchanged from the batch-1 path (bit
 // identity of batched vs serial execution rests on this).
 //
+// Requantization: every kernel here checks its requant shifts once per
+// call (std::invalid_argument outside [-31, 31]) and then runs the
+// branch-free hw/quant core per output; loaded graphs never reach the
+// check, since ir::Graph::validate holds the shifts to the same range.
+//
 // Zero-point convention (TFLite): real = scale * (q - zero_point).
 // Padding contributes real 0.0, i.e. q == zero_point, so padded cells
 // drop out of (q - zp) sums and the kernels simply skip them.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "src/common/thread_pool.hpp"
@@ -117,11 +123,21 @@ void qadd(const std::int8_t* a, const std::int8_t* b, std::int8_t* out, std::siz
           int zp_a, std::int32_t mant_a, int shift_a, int zp_b, std::int32_t mant_b, int shift_b,
           int zp_out);
 
+/// int32 cells of scratch qavg_pool needs: h x out_w row sums plus
+/// out_h x out_w window sums, reused plane by plane.
+std::size_t qavg_pool_scratch(int h, int out_h, int out_w);
+
 /// Average pooling, count_include_pad: divisor k*k, padded cells
-/// contribute q == zp_in and drop out of the shifted sum.
+/// contribute q == zp_in and drop out of the shifted sum. A separable
+/// box sum, one (sample, channel) plane at a time: each input row's
+/// window sums over every output column's valid horizontal taps, then
+/// each output adds the row sums of its valid vertical taps, then one
+/// requant pass stores the plane. The int32 sums are exact, so every
+/// output equals the per-output window loop's. `scratch` holds
+/// qavg_pool_scratch(h, out_h, out_w) int32s; no call allocates.
 void qavg_pool(const std::int8_t* input, std::int8_t* output, int batch, int channels, int h,
                int w, int kernel, int stride, int pad, int out_h, int out_w, int in_zp,
-               std::int32_t mantissa, int shift, int out_zp);
+               std::int32_t mantissa, int shift, int out_zp, std::int32_t* scratch);
 
 /// Global average pooling [N,C,H,W] -> [N,C].
 void qglobal_avg_pool(const std::int8_t* input, std::int8_t* output, int batch, int channels,

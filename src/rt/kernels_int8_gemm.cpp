@@ -5,38 +5,7 @@
 
 #include "src/hw/quant.hpp"
 #include "src/ir/graph.hpp"
-
-// Function multiversioning for the hot loops: the build stays baseline
-// x86-64 (runs anywhere), but the GEMM cores are additionally compiled
-// for wider SIMD levels and dispatched once at load time via the ELF
-// ifunc mechanism — vectorization without making the binary
-// ISA-specific. The attribute only affects code generation of the
-// annotated function (inlined callees included); the arithmetic is the
-// same exact int32 accumulation in every clone, so outputs are
-// bit-identical across ISA levels. Off under MICRONAS_PORTABLE and on
-// toolchains/targets without the feature. (GCC spells AVX-512 targets
-// "arch=x86-64-v4"; clang spells them as plain features.) Also off
-// under TSan: the ifunc resolvers run during relocation, before the
-// TSan runtime initializes, and crash at program startup — and the CI
-// tsan job runs this TU's property suite.
-#if defined(__SANITIZE_THREAD__)
-#define MICRONAS_NO_SIMD_CLONES 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MICRONAS_NO_SIMD_CLONES 1
-#endif
-#endif
-
-#if defined(MICRONAS_NO_SIMD_CLONES) || defined(MICRONAS_PORTABLE)
-#define MICRONAS_SIMD_CLONES
-#elif defined(__x86_64__) && defined(__ELF__) && defined(__clang__)
-#define MICRONAS_SIMD_CLONES __attribute__((target_clones("default", "avx2", "avx512bw")))
-#elif defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__)
-#define MICRONAS_SIMD_CLONES \
-  __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
-#else
-#define MICRONAS_SIMD_CLONES
-#endif
+#include "src/rt/kernel_support.hpp"
 
 namespace micronas::rt {
 
@@ -46,9 +15,24 @@ inline std::int8_t clamp_i8(std::int32_t v, int lo) {
   return static_cast<std::int8_t>(std::clamp<std::int32_t>(v, lo, kInt8Max));
 }
 
-/// Per-call requantization context shared by conv and linear: the
-/// affine correction folded into the accumulator base plus the
-/// per-channel fixed-point multipliers.
+/// One output channel's requant: the affine correction folded into the
+/// accumulator base plus its fixed-point multiplier, held by value so a
+/// store loop reads no parameter through a pointer its int8 stores
+/// might alias.
+struct ChannelRequant {
+  std::int32_t base = 0;
+  std::int32_t mantissa = 0;
+  int shift = 0;
+  int out_zp = 0;
+  int relu_lo = kInt8Min;
+
+  std::int8_t operator()(std::int32_t acc) const {
+    return clamp_i8(multiply_by_quantized_multiplier(acc + base, mantissa, shift) + out_zp,
+                    relu_lo);
+  }
+};
+
+/// Per-call requantization context shared by conv and linear.
 struct Requant {
   const std::int32_t* bias;        // [cout] or null
   const std::int32_t* weight_sum;  // [cout]
@@ -58,13 +42,9 @@ struct Requant {
   int out_zp = 0;
   int relu_lo = kInt8Min;
 
-  std::int32_t base(int c) const {
-    return (bias ? bias[c] : 0) - in_zp * weight_sum[c];
-  }
-  std::int8_t store(std::int32_t acc, int c) const {
-    const std::int32_t q =
-        multiply_by_quantized_multiplier(acc + base(c), mantissa[c], shift[c]) + out_zp;
-    return clamp_i8(q, relu_lo);
+  ChannelRequant channel(int c) const {
+    return {(bias ? bias[c] : 0) - in_zp * weight_sum[c], mantissa[c], shift[c], out_zp,
+            relu_lo};
   }
 };
 
@@ -153,31 +133,84 @@ void im2col16(const std::int16_t* image, std::int16_t* columns, int cin, int hp,
 
 // ------------------------------------------------------- dot16 kernels
 
-/// The GEMM core: one exact int32 dot product per (channel, column)
-/// over the padded K dimension, both operands contiguous int16 — the
-/// shape the vectorizer lowers to vpmaddwd (2 MACs/lane/instruction).
-/// K runs ascending, the scalar reference's (ci, ky, kx) order, and
-/// int32 accumulation is exact, so any vector re-association still
-/// produces the identical sum. A column's operand stays L1-hot across
-/// the whole channel loop. Output element (c, j) lands at
-/// out[c * cstride + j * jstride] — the two strides are what let one
-/// core serve both qconv (cstride = npix, jstride = 1; columns are
-/// output pixels) and qlinear (cstride = 1, jstride = out_features;
-/// columns are batch samples).
-MICRONAS_SIMD_CLONES
-void qdot16_block(const std::int16_t* w16, const std::int16_t* columns, int patchp, int cout,
-                  const Requant& rq, std::int8_t* out, std::ptrdiff_t cstride,
-                  std::ptrdiff_t jstride, int col_begin, int col_end) {
-  for (int j = col_begin; j < col_end; ++j) {
-    const std::int16_t* aj = columns + static_cast<std::ptrdiff_t>(j) * patchp;
-    std::int8_t* oj = out + static_cast<std::ptrdiff_t>(j) * jstride;
-    for (int c = 0; c < cout; ++c) {
-      const std::int16_t* wc = w16 + static_cast<std::ptrdiff_t>(c) * patchp;
-      std::int32_t acc = 0;
-      for (int k = 0; k < patchp; ++k) {
-        acc += static_cast<std::int32_t>(wc[k]) * static_cast<std::int32_t>(aj[k]);
+/// The dot16 GEMM core works on accumulator blocks of at most
+/// kBlockChannels x kBlockCols int32s (16 KiB of stack whatever cout
+/// is): the tiles fill a block, then one requant pass stores it.
+constexpr int kBlockChannels = 64;
+constexpr int kBlockCols = 64;
+
+/// One register tile: MC output channels x NJ columns of int32
+/// accumulators, filled by one ascending sweep over the padded K
+/// dimension. Both operands are contiguous int16, the shape the
+/// vectorizer lowers to vpmaddwd (2 MACs per lane per instruction);
+/// each column row loaded feeds MC accumulators and each weight row
+/// NJ, so the 4 x 2 tile issues 6 operand loads per 8 multiply-adds
+/// where one dot product per output issued 2 per 1. int32 accumulation
+/// is exact, so any vector re-association keeps the scalar reference's
+/// sum. Sum (m, n) lands in acc[m * kBlockCols + n].
+template <int MC, int NJ>
+inline void dot16_tile(const std::int16_t* w, const std::int16_t* a, int patchp,
+                       std::int32_t* acc) {
+  std::int32_t s[MC][NJ] = {};
+  for (int k = 0; k < patchp; ++k) {
+    for (int m = 0; m < MC; ++m) {
+      const std::int32_t wk = w[static_cast<std::ptrdiff_t>(m) * patchp + k];
+      for (int n = 0; n < NJ; ++n) {
+        s[m][n] += wk * static_cast<std::int32_t>(a[static_cast<std::ptrdiff_t>(n) * patchp + k]);
       }
-      oj[static_cast<std::ptrdiff_t>(c) * cstride] = rq.store(acc, c);
+    }
+  }
+  for (int m = 0; m < MC; ++m) {
+    for (int n = 0; n < NJ; ++n) acc[m * kBlockCols + n] = s[m][n];
+  }
+}
+
+/// One row of MC-channel tiles across a block's nj columns: column
+/// pairs, then the odd column.
+template <int MC>
+inline void dot16_tile_row(const std::int16_t* w, const std::int16_t* a, int patchp, int nj,
+                           std::int32_t* acc) {
+  int n = 0;
+  for (; n + 2 <= nj; n += 2) {
+    dot16_tile<MC, 2>(w, a + static_cast<std::ptrdiff_t>(n) * patchp, patchp, acc + n);
+  }
+  if (n < nj) dot16_tile<MC, 1>(w, a + static_cast<std::ptrdiff_t>(n) * patchp, patchp, acc + n);
+}
+
+/// The GEMM: output element (c, j) = requant(Σ_k w16[c][k] * columns[j][k])
+/// for every channel c < cout and column j in [col_begin, col_end),
+/// stored at out[c * cstride + j * jstride]. The two strides let one
+/// core serve qconv (cstride = npix, jstride = 1; columns are output
+/// pixels) and qlinear (cstride = 1, jstride = out_features; columns
+/// are batch samples). Channel blocks run inside column blocks, so a
+/// block's column operands stay cache-hot across the channel sweep.
+MICRONAS_SIMD_CLONES
+void dot16_gemm(const std::int16_t* w16, const std::int16_t* columns, int patchp, int cout,
+                const Requant& rq, std::int8_t* out, std::ptrdiff_t cstride,
+                std::ptrdiff_t jstride, int col_begin, int col_end) {
+  alignas(64) std::int32_t acc[kBlockChannels * kBlockCols];
+  for (int j0 = col_begin; j0 < col_end; j0 += kBlockCols) {
+    const int nj = std::min(kBlockCols, col_end - j0);
+    const std::int16_t* a = columns + static_cast<std::ptrdiff_t>(j0) * patchp;
+    for (int c0 = 0; c0 < cout; c0 += kBlockChannels) {
+      const int nc = std::min(kBlockChannels, cout - c0);
+      int m = 0;
+      for (; m + 4 <= nc; m += 4) {
+        dot16_tile_row<4>(w16 + static_cast<std::ptrdiff_t>(c0 + m) * patchp, a, patchp, nj,
+                          acc + m * kBlockCols);
+      }
+      for (; m < nc; ++m) {
+        dot16_tile_row<1>(w16 + static_cast<std::ptrdiff_t>(c0 + m) * patchp, a, patchp, nj,
+                          acc + m * kBlockCols);
+      }
+      // The requant pass: per channel one base, mantissa and shift, so
+      // the column loop (contiguous for conv) is the vectorized tail.
+      for (m = 0; m < nc; ++m) {
+        const ChannelRequant q = rq.channel(c0 + m);
+        const std::int32_t* row = acc + m * kBlockCols;
+        std::int8_t* o = out + static_cast<std::ptrdiff_t>(c0 + m) * cstride + j0 * jstride;
+        for (int n = 0; n < nj; ++n) o[n * jstride] = q(row[n]);
+      }
     }
   }
 }
@@ -185,9 +218,10 @@ void qdot16_block(const std::int16_t* w16, const std::int16_t* columns, int patc
 /// im2col + dot16 GEMM. Two parallel phases over the shared scratch in
 /// args.columns (sized by the executor via qconv_gemm_scratch_bytes):
 /// first every input plane is widened into its padded int16 image,
-/// then each worker builds and immediately consumes its own range of
-/// operand columns while they are cache-hot. Both phases partition
-/// disjoint output ranges, so the schedule cannot affect results.
+/// then each worker builds its own range of operand columns one
+/// kBlockCols block at a time and runs the GEMM on each block while it
+/// is cache-hot. Both phases partition disjoint output ranges, so the
+/// schedule cannot affect results.
 void qconv2d_gemm(const QConv2dArgs& a, const PackedWeights& pw, ThreadPool* pool) {
   const int hp = a.h + 2 * a.pad;
   const int wp = a.w + 2 * a.pad;
@@ -215,10 +249,12 @@ void qconv2d_gemm(const QConv2dArgs& a, const PackedWeights& pw, ThreadPool* poo
     const std::int16_t* image = image0 + n * image_elems;
     std::int16_t* columns = columns0 + n * column_elems;
     std::int8_t* out = a.output + static_cast<std::ptrdiff_t>(n) * a.cout * npix;
-    im2col16(image, columns, a.cin, hp, wp, a.kernel, a.stride, a.out_w, patchp, col_begin,
-             col_end);
-    qdot16_block(pw.data.data(), columns, patchp, a.cout, rq, out, /*cstride=*/npix,
-                 /*jstride=*/1, col_begin, col_end);
+    for (int j0 = col_begin; j0 < col_end; j0 += kBlockCols) {
+      const int j1 = std::min(col_end, j0 + kBlockCols);
+      im2col16(image, columns, a.cin, hp, wp, a.kernel, a.stride, a.out_w, patchp, j0, j1);
+      dot16_gemm(pw.data.data(), columns, patchp, a.cout, rq, out, /*cstride=*/npix,
+                 /*jstride=*/1, j0, j1);
+    }
   });
 }
 
@@ -251,8 +287,9 @@ void direct_conv_rows(const QConv2dArgs& a, const Requant& rq, int npix, const s
         const std::int8_t* row = in + static_cast<std::ptrdiff_t>(ci) * npix + j0;
         for (int j = 0; j < jn; ++j) acc[j] += w * static_cast<std::int32_t>(row[j]);
       }
+      const ChannelRequant q = rq.channel(c);
       std::int8_t* orow = out + static_cast<std::ptrdiff_t>(c) * npix + j0;
-      for (int j = 0; j < jn; ++j) orow[j] = rq.store(acc[j], c);
+      for (int j = 0; j < jn; ++j) orow[j] = q(acc[j]);
     }
   }
 }
@@ -284,8 +321,8 @@ void qlinear_gemm(const QLinearArgs& a, const PackedWeights& pw, ThreadPool* poo
   const Requant rq{a.bias, a.weight_sum, a.mantissa, a.shift,
                    a.in_zp, a.out_zp,    kInt8Min};
   for_sample_units(a.batch, 1, pool, [&](int n, int, int) {
-    qdot16_block(pw.data.data(), columns.data(), patchp, a.out_features, rq, a.output,
-                 /*cstride=*/1, /*jstride=*/a.out_features, n, n + 1);
+    dot16_gemm(pw.data.data(), columns.data(), patchp, a.out_features, rq, a.output,
+               /*cstride=*/1, /*jstride=*/a.out_features, n, n + 1);
   });
 }
 
@@ -420,6 +457,7 @@ QLinearKernel select_qlinear_kernel(const QLinearArgs& a, const PackedWeights* p
 }
 
 void qconv2d_auto(const QConv2dArgs& a, const PackedWeights* packed, ThreadPool* pool) {
+  check_requant_shifts(a.shift, a.cout, "qconv2d_auto");
   switch (select_qconv_kernel(a, packed)) {
     case QConvKernel::kScalar: return qconv2d(a, pool);
     case QConvKernel::kDirectConv: return qconv2d_direct(a, pool);
@@ -428,6 +466,7 @@ void qconv2d_auto(const QConv2dArgs& a, const PackedWeights* packed, ThreadPool*
 }
 
 void qlinear_auto(const QLinearArgs& a, const PackedWeights* packed, ThreadPool* pool) {
+  check_requant_shifts(a.shift, a.out_features, "qlinear_auto");
   switch (select_qlinear_kernel(a, packed)) {
     case QLinearKernel::kScalar: return qlinear(a, pool);
     case QLinearKernel::kGemm: return qlinear_gemm(a, *packed, pool);

@@ -30,11 +30,14 @@
 //
 //   * GEMM core: im2col into an int16 [column][padded-patch] operand
 //     (built by contiguous run copies off a zero-point-padded int16
-//     image — no per-element bounds checks), then one exact int32 dot
-//     product per (output channel, column) whose reduction loop the
-//     autovectorizer turns into vpmaddwd chains. A column's operand
-//     (padded-patch int16s) stays L1-hot across the whole channel
-//     loop.
+//     image — no per-element bounds checks), one block of columns at
+//     a time, then register tiles of 4 output channels x 2 columns:
+//     eight exact int32 dot products share one ascending K sweep,
+//     which the autovectorizer turns into eight vpmaddwd chains fed by
+//     six operand loads. The tiles fill a bounded int32 block (64
+//     channels x 64 columns), and one requant pass per channel stores
+//     it — the vectorized requant tail. The same core runs qlinear,
+//     with batch samples as its columns.
 //
 //   * Kernel-selection table (`select_qconv_kernel`): per-shape choice
 //     between the im2col GEMM (spatial convs), a direct convolution

@@ -61,18 +61,40 @@ std::size_t max_qconv_scratch_bytes(const ir::Graph& graph, int batch_mult) {
   return max_bytes;
 }
 
-/// Floats of f32 conv im2col scratch one sample slot needs: the
-/// largest conv2d_f32_columns over the graph's kConv2d nodes. A slot
-/// holding a graph batch reuses it sample by sample.
-std::size_t max_conv_f32_columns(const ir::Graph& graph) {
-  std::size_t max_floats = 0;
+/// Bytes of the scratch region each sample slot owns in the executor's
+/// conv scratch: the largest f32 conv im2col (conv2d_f32_columns
+/// floats) and qavg_pool sums (qavg_pool_scratch int32s) over the
+/// graph, rounded up to a cache line so parallel slots never share
+/// one. A slot holding a graph batch reuses its region sample by
+/// sample.
+std::size_t slot_scratch_bytes(const ir::Graph& graph) {
+  std::size_t bytes = 0;
   for (const auto& node : graph.nodes()) {
-    if (node.op != ir::OpKind::kConv2d) continue;
-    const int cin = graph.node(node.inputs[0]).type.shape[1];
-    max_floats = std::max(max_floats, conv2d_f32_columns(cin, node.conv.kernel,
-                                                         node.type.shape[2], node.type.shape[3]));
+    const Shape& y = node.type.shape;
+    if (node.op == ir::OpKind::kConv2d) {
+      const int cin = graph.node(node.inputs[0]).type.shape[1];
+      bytes = std::max(bytes,
+                       conv2d_f32_columns(cin, node.conv.kernel, y[2], y[3]) * sizeof(float));
+    } else if (node.op == ir::OpKind::kQAvgPool) {
+      const int h = graph.node(node.inputs[0]).type.shape[2];
+      bytes = std::max(bytes, qavg_pool_scratch(h, y[2], y[3]) * sizeof(std::int32_t));
+    }
   }
-  return max_floats;
+  return (bytes + 63) / 64 * 64;
+}
+
+/// Bytes of qavg_pool scratch the row-strip streamed pools need: each
+/// strip pools a gathered (strip_h - 1 + kernel)-row block.
+std::size_t streamed_pool_scratch_bytes(const ir::Graph& graph, const MemoryPlan& plan) {
+  std::size_t bytes = 0;
+  for (const StripStream& strip : plan.strips) {
+    const ir::Node& node = graph.node(strip.node_id);
+    if (node.op != ir::OpKind::kQAvgPool) continue;
+    bytes = std::max(bytes, qavg_pool_scratch(strip.strip_h - 1 + node.conv.kernel, strip.strip_h,
+                                              node.type.shape[3]) *
+                                sizeof(std::int32_t));
+  }
+  return bytes;
 }
 
 /// The unplanned layout: every value at its own aligned arena offset,
@@ -218,7 +240,8 @@ void run_strip_streamed(const ir::Node& node, const Shape& xs, int strip_h,
       qconv2d_auto(ar, packed, pool);
     } else {
       qavg_pool(gather, stage, 1, cin, in_rows, wp, k, 1, 0, h, out_w, in_zp,
-                node.quant.mantissa[0], node.quant.shift[0], node.quant.out_q.zero_point);
+                node.quant.mantissa[0], node.quant.shift[0], node.quant.out_q.zero_point,
+                reinterpret_cast<std::int32_t*>(columns));
     }
     prev_a = a;
     prev_h = h;
@@ -375,12 +398,14 @@ Executor::Executor(const ir::Graph& graph, MemoryPlan plan, int batch_capacity,
     s.stride = static_cast<std::size_t>(node.type.bytes());
   }
   weight_sums_ = compute_weight_sums(graph_);
-  // One conv scratch for both conv kinds: the int8 kernels take it at
-  // batch capacity, and each sample slot's f32 convs get a region of
-  // their own, since each_sample may run several slots at once.
-  f32_columns_ = max_conv_f32_columns(graph_);
-  columns_.resize(std::max(max_qconv_scratch_bytes(graph_, capacity_),
-                           static_cast<std::size_t>(capacity_) * f32_columns_ * sizeof(float)));
+  // One scratch for every windowed kernel: the int8 convs take it at
+  // batch capacity, each sample slot's f32 convs and qavg_pools get a
+  // region of their own (each_sample may run several slots at once),
+  // and the row-strip streamed pools run one sample at a time.
+  slot_scratch_bytes_ = slot_scratch_bytes(graph_);
+  columns_.resize(std::max({max_qconv_scratch_bytes(graph_, capacity_),
+                            static_cast<std::size_t>(capacity_) * slot_scratch_bytes_,
+                            streamed_pool_scratch_bytes(graph_, plan_)}));
   stream_scratch_.resize(static_cast<std::size_t>(plan_.stream_scratch_bytes));
   if (options_.packed != nullptr) {
     packed_ = options_.packed;
@@ -513,8 +538,7 @@ void Executor::dispatch(const ir::Node& node, int n) {
       // One slot splits its output channels over the pool; several
       // slots split over samples instead, never both.
       each_sample(node, n, [&](int s) {
-        float* columns = reinterpret_cast<float*>(columns_.data()) +
-                         static_cast<std::size_t>(s) * f32_columns_;
+        float* columns = reinterpret_cast<float*>(slot_scratch(s));
         conv2d_f32(f32(0, s), f32(1, s), node.inputs.size() == 3 ? f32(2, s) : nullptr,
                    slot<float>(node.id, s), x[0], x[1], x[2], x[3], shape[1], node.conv.kernel,
                    node.conv.stride, node.conv.pad, shape[2], shape[3], node.conv.fused_relu,
@@ -595,7 +619,7 @@ void Executor::dispatch(const ir::Node& node, int n) {
         qavg_pool(i8(0, s), slot<std::int8_t>(node.id, s), x[0], x[1], x[2], x[3],
                   node.conv.kernel, node.conv.stride, node.conv.pad, shape[2], shape[3],
                   node.quant.in_q.zero_point, node.quant.mantissa[0], node.quant.shift[0],
-                  node.quant.out_q.zero_point);
+                  node.quant.out_q.zero_point, reinterpret_cast<std::int32_t*>(slot_scratch(s)));
       });
       return;
     case ir::OpKind::kQAdd:

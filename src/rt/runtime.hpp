@@ -144,6 +144,11 @@ class Executor {
     return reinterpret_cast<T*>(b.base + static_cast<std::size_t>(s) * b.stride);
   }
   void dispatch(const ir::Node& node, int n);
+  /// Sample slot s's region of columns_ (f32 conv im2col, qavg_pool sums).
+  std::byte* slot_scratch(int s) {
+    return reinterpret_cast<std::byte*>(columns_.data()) +
+           static_cast<std::size_t>(s) * slot_scratch_bytes_;
+  }
   /// Run fn(slot) for slots [0, n): over the pool when each sample's
   /// work (sample_io_bytes) is large enough to amortize a pool
   /// dispatch, else a plain loop — samples are independent, so the
@@ -160,8 +165,8 @@ class Executor {
 
   std::vector<std::byte> arena_;
   std::vector<Slots> slots_;                 // indexed by node id
-  std::vector<std::int8_t> columns_;         // conv im2col scratch at batch capacity
-  std::size_t f32_columns_ = 0;              // floats of f32 conv scratch per sample slot
+  std::vector<std::int8_t> columns_;         // windowed-kernel scratch, sized at construction
+  std::size_t slot_scratch_bytes_ = 0;       // bytes of each sample slot's region of columns_
   std::vector<std::int8_t> stream_scratch_;  // row-strip gather + stage (one sample)
   // Per-node Σ_k w[c,k] for kQConv2d / kQLinear, computed once.
   std::vector<std::vector<std::int32_t>> weight_sums_;

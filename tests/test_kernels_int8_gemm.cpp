@@ -5,17 +5,23 @@
 // layout and schedule cannot legally change a single output byte.
 // Also pins the packing layout (ABI: serialized into .mnpkg PACK
 // sections), the selection table itself, and the executor's
-// per-sample parallelism gate these kernels run behind.
+// per-sample parallelism gate these kernels run behind. Generated
+// shapes and quant params drive the conv, linear and average-pool
+// kernels against scalar oracles, and the branch-free requant core
+// against the checked form it replaced, value for value.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/common/thread_pool.hpp"
 #include "src/compile/compiler.hpp"
+#include "src/data/synthetic.hpp"
 #include "src/hw/quant.hpp"
 #include "src/nb201/genotype.hpp"
 #include "src/rt/kernels_int8.hpp"
@@ -348,6 +354,366 @@ TEST(BatchedDispatchGate, SampleIoBytesCountsRealBytesNotElements) {
   // far below the 32 KB gate even though 4N would put f32 there.
   EXPECT_LT(std::size_t{3} * 16 * 16 * 16, Executor::kMinParallelSampleBytes);
   (void)saw_f32;
+}
+
+
+// ------------------------------------------------ requant core oracle
+//
+// The checked requant the kernels ran before the core became selects
+// only, copied verbatim: the core must agree with it value for value
+// over its whole domain.
+
+std::int32_t checked_high_mul(std::int32_t a, std::int32_t b) {
+  const bool overflow = a == b && a == std::numeric_limits<std::int32_t>::min();
+  if (overflow) return std::numeric_limits<std::int32_t>::max();
+  const std::int64_t ab = static_cast<std::int64_t>(a) * static_cast<std::int64_t>(b);
+  const std::int32_t nudge = ab >= 0 ? (1 << 30) : (1 - (1 << 30));
+  return static_cast<std::int32_t>((ab + nudge) / (1LL << 31));
+}
+
+std::int32_t checked_divide_by_pot(std::int32_t x, int exponent) {
+  if (exponent < 0 || exponent > 31) {
+    throw std::invalid_argument("rounding_divide_by_pot: exponent out of [0, 31]");
+  }
+  if (exponent == 0) return x;
+  const std::int32_t mask = static_cast<std::int32_t>((1LL << exponent) - 1);
+  const std::int32_t remainder = x & mask;
+  std::int32_t threshold = mask >> 1;
+  if (x < 0) threshold += 1;
+  std::int32_t result = x >> exponent;
+  if (remainder > threshold) result += 1;
+  return result;
+}
+
+std::int32_t checked_requant(std::int32_t x, std::int32_t mantissa, int shift) {
+  const int left_shift = shift > 0 ? shift : 0;
+  const int right_shift = shift > 0 ? 0 : -shift;
+  const std::int32_t shifted =
+      static_cast<std::int32_t>(static_cast<std::uint32_t>(x) << left_shift);
+  return checked_divide_by_pot(checked_high_mul(shifted, mantissa), right_shift);
+}
+
+TEST(RequantCore, MatchesTheCheckedFormOnEdgesAndARandomSweep) {
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  const std::int32_t xs[] = {kMin, kMin + 1, -(1 << 30), -3, -2, -1, 0, 1, 2, 3, 1 << 30,
+                             kMax - 1, kMax};
+  const std::int32_t mantissas[] = {kMin, kMin + 1, -(1 << 30), -1, 0, 1, 1 << 30,
+                                    (1 << 30) + 1, kMax};
+  for (const std::int32_t x : xs) {
+    for (const std::int32_t m : mantissas) {
+      ASSERT_EQ(saturating_rounding_doubling_high_mul(x, m), checked_high_mul(x, m))
+          << "x=" << x << " m=" << m;
+      for (int shift = -kMaxRequantShift; shift <= kMaxRequantShift; ++shift) {
+        ASSERT_EQ(multiply_by_quantized_multiplier(x, m, shift), checked_requant(x, m, shift))
+            << "x=" << x << " m=" << m << " shift=" << shift;
+      }
+    }
+    for (int e = 0; e <= 31; ++e) {
+      ASSERT_EQ(rounding_right_shift(x, e), checked_divide_by_pot(x, e))
+          << "x=" << x << " e=" << e;
+      ASSERT_EQ(rounding_divide_by_pot(x, e), checked_divide_by_pot(x, e));
+    }
+  }
+  EXPECT_THROW(rounding_divide_by_pot(1, 32), std::invalid_argument);
+
+  // Random sweep: magnitudes spread over every bit width, so ties,
+  // saturation and both shift directions all occur.
+  std::mt19937 rng(20240601u);
+  const auto draw = [&rng]() {
+    const int bits = static_cast<int>(rng() % 32);
+    const std::uint32_t mask = bits == 31 ? 0xFFFFFFFFU : (2U << bits) - 1;
+    const auto v = static_cast<std::int32_t>(rng() & mask);
+    return (rng() & 1) ? v : static_cast<std::int32_t>(0U - static_cast<std::uint32_t>(v));
+  };
+  for (int i = 0; i < 200000; ++i) {
+    const std::int32_t x = draw();
+    const std::int32_t m = (i % 4 == 0) ? draw()
+                                        : static_cast<std::int32_t>((1U << 30) + (rng() >> 2));
+    const int shift = static_cast<int>(rng() % 63) - kMaxRequantShift;
+    ASSERT_EQ(multiply_by_quantized_multiplier(x, m, shift), checked_requant(x, m, shift))
+        << "x=" << x << " m=" << m << " shift=" << shift;
+  }
+}
+
+TEST(RequantCore, KernelEntryPointsRejectShiftsOutsideTheDomain) {
+  const std::int8_t in[4] = {1, 2, 3, 4};
+  std::int8_t out[4] = {};
+  std::int32_t scratch[8] = {};
+  for (const int bad : {-kMaxRequantShift - 1, kMaxRequantShift + 1, -40, 40}) {
+    EXPECT_THROW(qavg_pool(in, out, 1, 1, 2, 2, 1, 1, 0, 2, 2, 0, 1 << 30, bad, 0, scratch),
+                 std::invalid_argument);
+    EXPECT_THROW(qglobal_avg_pool(in, out, 1, 1, 2, 2, 0, 1 << 30, bad, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(qadd(in, in, out, 4, 0, 1 << 30, 0, 0, 1 << 30, bad, 0), std::invalid_argument);
+  }
+}
+
+// ---------------------------------------- generated-shape properties
+//
+// Seeded generators over the geometry and quant params the kernels
+// accept: batch 1-3, channels 1-40 in / 1-70 out (so cout % 4 takes
+// every value), h != w in 1-13, kernel 1-5, stride 1-2, pad 0-2, zero
+// points anywhere in int8, shifts in [-31, 8] (so many outputs
+// saturate), fused ReLU on and off.
+
+int out_extent(int in, int kernel, int stride, int pad) {
+  return (in + 2 * pad - kernel) / stride + 1;
+}
+
+struct Geometry {
+  int batch, channels, h, w, kernel, stride, pad, out_h, out_w;
+};
+
+std::string geometry_name(const Geometry& g) {
+  return "batch=" + std::to_string(g.batch) + " c=" + std::to_string(g.channels) +
+         " h=" + std::to_string(g.h) + " w=" + std::to_string(g.w) +
+         " k=" + std::to_string(g.kernel) + " s=" + std::to_string(g.stride) +
+         " p=" + std::to_string(g.pad);
+}
+
+Geometry draw_geometry(std::mt19937& rng, int max_channels) {
+  for (;;) {
+    Geometry g{};
+    g.batch = 1 + static_cast<int>(rng() % 3);
+    g.channels = 1 + static_cast<int>(rng() % static_cast<unsigned>(max_channels));
+    g.h = 1 + static_cast<int>(rng() % 13);
+    g.w = 1 + static_cast<int>(rng() % 13);
+    g.kernel = 1 + static_cast<int>(rng() % 5);
+    g.stride = 1 + static_cast<int>(rng() % 2);
+    g.pad = static_cast<int>(rng() % 3);
+    if (g.h + 2 * g.pad < g.kernel || g.w + 2 * g.pad < g.kernel) continue;
+    g.out_h = out_extent(g.h, g.kernel, g.stride, g.pad);
+    g.out_w = out_extent(g.w, g.kernel, g.stride, g.pad);
+    return g;
+  }
+}
+
+std::int32_t draw_mantissa(std::mt19937& rng) {
+  return static_cast<std::int32_t>((1U << 30) + (rng() >> 2));  // [2^30, 2^31): normalized
+}
+
+int draw_shift(std::mt19937& rng) { return static_cast<int>(rng() % 40) - 31; }  // [-31, 8]
+
+int draw_zero_point(std::mt19937& rng) { return static_cast<int>(rng() % 256) - 128; }
+
+TEST(QConvGemm, GeneratedShapesAndQuantParamsBitIdenticalToScalar) {
+  std::mt19937 rng(0x5EED0001u);
+  ThreadPool pool3(3);
+  ThreadPool pool7(7);
+  int saturated = 0, total = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const Geometry g = draw_geometry(rng, 40);
+    const int cout = 1 + static_cast<int>(rng() % 70);
+    const int patch = g.channels * g.kernel * g.kernel;
+    std::vector<std::int8_t> input(static_cast<std::size_t>(g.batch) * g.channels * g.h * g.w);
+    std::vector<std::int8_t> weight(static_cast<std::size_t>(cout) * patch);
+    for (auto& v : input) v = static_cast<std::int8_t>(rng());
+    for (auto& v : weight) v = static_cast<std::int8_t>(rng());
+    std::vector<std::int32_t> bias(cout), wsum(cout, 0), mant(cout);
+    std::vector<int> shift(cout);
+    for (int c = 0; c < cout; ++c) {
+      bias[c] = static_cast<std::int32_t>(rng() % 20001) - 10000;
+      for (int k = 0; k < patch; ++k) wsum[c] += weight[static_cast<std::size_t>(c) * patch + k];
+      mant[c] = draw_mantissa(rng);
+      shift[c] = draw_shift(rng);
+    }
+    QConv2dArgs a{};
+    a.batch = g.batch;
+    a.cin = g.channels;
+    a.h = g.h;
+    a.w = g.w;
+    a.cout = cout;
+    a.kernel = g.kernel;
+    a.stride = g.stride;
+    a.pad = g.pad;
+    a.out_h = g.out_h;
+    a.out_w = g.out_w;
+    a.in_zp = draw_zero_point(rng);
+    a.out_zp = draw_zero_point(rng);
+    a.fused_relu = (rng() & 1) != 0;
+    a.input = input.data();
+    a.weight = weight.data();
+    a.bias = bias.data();
+    a.weight_sum = wsum.data();
+    a.mantissa = mant.data();
+    a.shift = shift.data();
+    const std::size_t npix = static_cast<std::size_t>(g.out_h) * g.out_w;
+    const std::size_t out_elems = static_cast<std::size_t>(g.batch) * cout * npix;
+    std::vector<std::int8_t> scratch(std::max(
+        static_cast<std::size_t>(g.batch) * npix * patch,
+        static_cast<std::size_t>(g.batch) *
+            qconv_gemm_scratch_bytes(g.channels, g.h, g.w, g.kernel, g.pad, g.out_h, g.out_w)));
+    a.columns = scratch.data();
+    std::vector<std::int8_t> ref(out_elems), got(out_elems);
+    a.output = ref.data();
+    qconv2d(a, nullptr);
+    for (const std::int8_t v : ref) saturated += v == kInt8Min || v == kInt8Max;
+    total += static_cast<int>(out_elems);
+
+    const PackedWeights packed = pack_weights_dot16(weight.data(), cout, patch);
+    for (const PackedWeights* pw : {&packed, static_cast<const PackedWeights*>(nullptr)}) {
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool3, &pool7}) {
+        std::fill(got.begin(), got.end(), std::int8_t{0x5A});
+        a.output = got.data();
+        qconv2d_auto(a, pw, pool);
+        ASSERT_EQ(std::memcmp(ref.data(), got.data(), out_elems), 0)
+            << "trial " << trial << " " << geometry_name(g) << " cout=" << cout
+            << " relu=" << a.fused_relu << " via "
+            << qconv_kernel_name(select_qconv_kernel(a, pw)) << (pool ? " pooled" : " serial");
+      }
+    }
+  }
+  // The generator must reach the saturating corner, not just the middle.
+  EXPECT_GT(saturated, total / 20);
+  EXPECT_LT(saturated, total);
+}
+
+TEST(QLinearGemm, GeneratedShapesAndQuantParamsBitIdenticalToScalar) {
+  std::mt19937 rng(0x5EED0002u);
+  ThreadPool pool3(3);
+  ThreadPool pool7(7);
+  for (int trial = 0; trial < 120; ++trial) {
+    const int batch = 1 + static_cast<int>(rng() % 3);
+    const int in_f = 1 + static_cast<int>(rng() % 300);
+    const int out_f = 1 + static_cast<int>(rng() % 70);
+    std::vector<std::int8_t> input(static_cast<std::size_t>(batch) * in_f);
+    std::vector<std::int8_t> weight(static_cast<std::size_t>(out_f) * in_f);
+    for (auto& v : input) v = static_cast<std::int8_t>(rng());
+    for (auto& v : weight) v = static_cast<std::int8_t>(rng());
+    std::vector<std::int32_t> bias(out_f), wsum(out_f, 0), mant(out_f);
+    std::vector<int> shift(out_f);
+    for (int o = 0; o < out_f; ++o) {
+      bias[o] = static_cast<std::int32_t>(rng() % 20001) - 10000;
+      for (int k = 0; k < in_f; ++k) wsum[o] += weight[static_cast<std::size_t>(o) * in_f + k];
+      mant[o] = draw_mantissa(rng);
+      shift[o] = draw_shift(rng);
+    }
+    QLinearArgs a{};
+    a.batch = batch;
+    a.in_features = in_f;
+    a.out_features = out_f;
+    a.in_zp = draw_zero_point(rng);
+    a.out_zp = draw_zero_point(rng);
+    a.input = input.data();
+    a.weight = weight.data();
+    a.bias = bias.data();
+    a.weight_sum = wsum.data();
+    a.mantissa = mant.data();
+    a.shift = shift.data();
+    std::vector<std::int8_t> ref(static_cast<std::size_t>(batch) * out_f), got(ref.size());
+    a.output = ref.data();
+    qlinear(a, nullptr);
+    const PackedWeights packed = pack_weights_dot16(weight.data(), out_f, in_f);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool3, &pool7}) {
+      std::fill(got.begin(), got.end(), std::int8_t{0x5A});
+      a.output = got.data();
+      qlinear_auto(a, &packed, pool);
+      ASSERT_EQ(std::memcmp(ref.data(), got.data(), ref.size()), 0)
+          << "trial " << trial << " batch=" << batch << " in=" << in_f << " out=" << out_f
+          << (pool ? " pooled" : " serial");
+    }
+  }
+}
+
+/// The per-output window loop qavg_pool ran before the separable box
+/// sum, over the checked requant: the oracle for every pool output.
+void per_output_avg_pool(const std::int8_t* input, std::int8_t* output, const Geometry& g,
+                         int in_zp, std::int32_t mantissa, int shift, int out_zp) {
+  for (int n = 0; n < g.batch; ++n) {
+    for (int c = 0; c < g.channels; ++c) {
+      const std::int8_t* plane =
+          input + (static_cast<std::ptrdiff_t>(n) * g.channels + c) * g.h * g.w;
+      std::int8_t* oplane =
+          output + (static_cast<std::ptrdiff_t>(n) * g.channels + c) * g.out_h * g.out_w;
+      for (int oy = 0; oy < g.out_h; ++oy) {
+        for (int ox = 0; ox < g.out_w; ++ox) {
+          std::int32_t acc = 0;
+          for (int ky = 0; ky < g.kernel; ++ky) {
+            const int iy = oy * g.stride - g.pad + ky;
+            if (iy < 0 || iy >= g.h) continue;
+            for (int kx = 0; kx < g.kernel; ++kx) {
+              const int ix = ox * g.stride - g.pad + kx;
+              if (ix < 0 || ix >= g.w) continue;
+              acc += static_cast<std::int32_t>(plane[static_cast<std::ptrdiff_t>(iy) * g.w + ix]) -
+                     in_zp;
+            }
+          }
+          const std::int32_t q = checked_requant(acc, mantissa, shift) + out_zp;
+          oplane[static_cast<std::ptrdiff_t>(oy) * g.out_w + ox] =
+              static_cast<std::int8_t>(std::clamp<std::int32_t>(q, kInt8Min, kInt8Max));
+        }
+      }
+    }
+  }
+}
+
+TEST(QAvgPool, SeparableBoxSumMatchesThePerOutputLoop) {
+  std::mt19937 rng(0x5EED0003u);
+  for (int trial = 0; trial < 400; ++trial) {
+    const Geometry g = draw_geometry(rng, 40);
+    std::vector<std::int8_t> input(static_cast<std::size_t>(g.batch) * g.channels * g.h * g.w);
+    for (auto& v : input) v = static_cast<std::int8_t>(rng());
+    const int in_zp = draw_zero_point(rng);
+    const int out_zp = draw_zero_point(rng);
+    // Mostly the pool's own 1/k^2 multiplier, sometimes any shift.
+    std::int32_t mantissa = 0;
+    int shift = 0;
+    if (trial % 2 == 0) {
+      quantize_multiplier(1.0 / (g.kernel * g.kernel) * (0.5 + (rng() % 1000) / 500.0),
+                          &mantissa, &shift);
+    } else {
+      mantissa = draw_mantissa(rng);
+      shift = draw_shift(rng);
+    }
+    const std::size_t out_elems =
+        static_cast<std::size_t>(g.batch) * g.channels * g.out_h * g.out_w;
+    std::vector<std::int8_t> ref(out_elems), got(out_elems, std::int8_t{0x5A});
+    per_output_avg_pool(input.data(), ref.data(), g, in_zp, mantissa, shift, out_zp);
+    std::vector<std::int32_t> scratch(qavg_pool_scratch(g.h, g.out_h, g.out_w));
+    qavg_pool(input.data(), got.data(), g.batch, g.channels, g.h, g.w, g.kernel, g.stride, g.pad,
+              g.out_h, g.out_w, in_zp, mantissa, shift, out_zp, scratch.data());
+    ASSERT_EQ(std::memcmp(ref.data(), got.data(), out_elems), 0)
+        << "trial " << trial << " " << geometry_name(g) << " in_zp=" << in_zp
+        << " shift=" << shift;
+  }
+}
+
+// A pool node on the row-strip streamed path: the executor gathers each
+// strip with its halo and pools it through the same kernel and scratch.
+TEST(QAvgPool, StreamedPoolPlanUnderAHalvedBudgetIsBitIdentical) {
+  const nb201::Genotype g = nb201::Genotype::from_string(
+      "|avg_pool_3x3~0|+|none~0|avg_pool_3x3~1|+|none~0|none~1|avg_pool_3x3~2|");
+  compile::CompilerOptions options;
+  options.macro.num_stages = 1;
+  options.macro.cells_per_stage = 1;
+  options.calibration_batches = 1;
+  options.seed = 17;
+  const compile::CompiledModel base = compile::compile_genotype(g, options);
+  ASSERT_TRUE(base.plan.strips.empty());
+  options.plan.arena_budget = base.plan.arena_bytes / 2;
+  const compile::CompiledModel streamed = compile::compile_genotype(g, options);
+  ASSERT_LE(streamed.plan.arena_bytes, base.plan.arena_bytes / 2);
+  int streamed_pools = 0;
+  for (const StripStream& s : streamed.plan.strips) {
+    streamed_pools += streamed.graph.node(s.node_id).op == ir::OpKind::kQAvgPool;
+  }
+  ASSERT_GT(streamed_pools, 0) << "the halved budget must stream a qavg_pool node";
+
+  DatasetSpec spec;
+  spec.height = spec.width = options.macro.input_size;
+  Rng rng(903);
+  SyntheticDataset data(spec, rng);
+  const Tensor input = data.sample_batch(1, rng).images;
+  Executor base_exec(base.graph, base.plan, ExecOptions{1, &base.packed});
+  const Tensor want = base_exec.run(input);
+  for (const int threads : {1, 3}) {
+    Executor exec(streamed.graph, streamed.plan, ExecOptions{threads, &streamed.packed});
+    const Tensor got = exec.run(input);
+    ASSERT_EQ(got.numel(), want.numel());
+    EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(), want.numel() * sizeof(float)), 0)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

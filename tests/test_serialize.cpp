@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "src/common/rng.hpp"
@@ -756,6 +757,203 @@ TEST(SerializeForged, ForgedStripGeometryFailsClosed) {
   poke_le(forged, scratch_at, 1ULL << 62, 8);
   reforge_checksums(forged);
   EXPECT_THROW(serialize::load_model_bytes(forged), SerializeError);
+}
+
+/// Byte positions of one GRPH node record's requant fields (mirroring
+/// the record schema, like conv_attrs_offset), relative to the payload.
+struct RequantFieldsAt {
+  std::size_t name = 0;      // u32 length, then the bytes
+  std::size_t mantissa = 0;  // u32 count, then that many i32s
+  std::size_t shift = 0;     // u32 count, then that many i32s
+  std::size_t shift2 = 0;    // i32; mantissa2 is the i32 before it
+  std::size_t end = 0;       // one past the record
+  std::uint32_t count = 0;   // mantissas (== shifts)
+};
+
+/// The record of the first node of kind `op` in a GRPH payload.
+RequantFieldsAt requant_fields(std::span<const std::byte> grph, ir::OpKind op) {
+  serialize::ByteReader r(grph, "GRPH");
+  const std::uint32_t node_count = r.u32();
+  r.i32();  // input
+  r.i32();  // output
+  for (std::uint32_t i = 0; i < node_count; ++i) {
+    RequantFieldsAt at;
+    r.i32();  // id
+    const int node_op = r.u8();
+    at.name = r.pos();
+    r.str();
+    const std::uint32_t num_inputs = r.u32();
+    for (std::uint32_t k = 0; k < num_inputs; ++k) r.i32();
+    const int rank = r.u8();
+    for (int d = 0; d < rank; ++d) r.i32();
+    r.u8();   // dtype
+    r.i32();  // kernel
+    r.i32();  // stride
+    r.i32();  // pad
+    r.u8();   // fused_relu
+    r.f64();  // bn_eps
+    for (int a = 0; a < 3; ++a) {  // in_q, in2_q, out_q
+      r.f64();
+      r.i32();
+    }
+    at.mantissa = r.pos();
+    at.count = r.u32();
+    for (std::uint32_t k = 0; k < at.count; ++k) r.i32();
+    at.shift = r.pos();
+    const std::uint32_t num_shift = r.u32();
+    for (std::uint32_t k = 0; k < num_shift; ++k) r.i32();
+    r.i32();  // mantissa2
+    at.shift2 = r.pos();
+    r.i32();
+    if (r.u8() != 0) {  // const payload ref
+      r.u64();
+      r.u64();
+    }
+    at.end = r.pos();
+    if (node_op == static_cast<int>(op)) return at;
+  }
+  throw std::logic_error("GRPH has no node of the requested kind");
+}
+
+/// The package with the first `op` node's mantissa and shift arrays cut
+/// to their first `keep` entries. The name grows by the bytes the
+/// arrays lose, so the record, the GRPH section and every later offset
+/// keep their sizes, and only the checksums need re-forging. keep ==
+/// the current count changes the name alone (the control).
+std::vector<std::byte> with_requant_count(const std::vector<std::byte>& bytes, ir::OpKind op,
+                                          std::uint32_t keep) {
+  const serialize::SectionInfo grph = section_named(bytes, "GRPH");
+  const std::span<const std::byte> payload(bytes.data() + grph.offset, grph.size);
+  const RequantFieldsAt at = requant_fields(payload, op);
+  const std::size_t grow = 8 * static_cast<std::size_t>(at.count - keep);
+  serialize::ByteReader name_len(payload.subspan(at.name, 4), "name");
+  const std::uint32_t len = name_len.u32();
+  // Rewrite the record from its name on, copying from the original.
+  std::vector<std::byte> out = bytes;
+  std::size_t cursor = grph.offset + at.name;
+  const auto copy = [&](std::size_t from, std::size_t to) {  // payload-relative
+    std::copy(bytes.begin() + static_cast<std::ptrdiff_t>(grph.offset + from),
+              bytes.begin() + static_cast<std::ptrdiff_t>(grph.offset + to),
+              out.begin() + static_cast<std::ptrdiff_t>(cursor));
+    cursor += to - from;
+  };
+  const auto put_u32 = [&](std::uint32_t v) {
+    poke_le(out, cursor, v, 4);
+    cursor += 4;
+  };
+  put_u32(len + static_cast<std::uint32_t>(grow));
+  copy(at.name + 4, at.name + 4 + len);
+  std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(cursor), grow, std::byte{'x'});
+  cursor += grow;
+  copy(at.name + 4 + len, at.mantissa);
+  put_u32(keep);
+  copy(at.mantissa + 4, at.mantissa + 4 + 4 * keep);
+  put_u32(keep);
+  copy(at.shift + 4, at.shift + 4 + 4 * keep);
+  copy(at.shift2 - 4, at.end);  // mantissa2 onward
+  EXPECT_EQ(cursor, grph.offset + at.end);
+  reforge_checksums(out);
+  return out;
+}
+
+/// The package with the i32 at `field` of the first `op` node's record
+/// (a RequantFieldsAt member, plus `extra` bytes) set to `value`.
+std::vector<std::byte> with_requant_i32(const std::vector<std::byte>& bytes, ir::OpKind op,
+                                        std::size_t RequantFieldsAt::*field, std::size_t extra,
+                                        std::int32_t value) {
+  const serialize::SectionInfo grph = section_named(bytes, "GRPH");
+  const RequantFieldsAt at =
+      requant_fields(std::span<const std::byte>(bytes.data() + grph.offset, grph.size), op);
+  std::vector<std::byte> out = bytes;
+  poke_le(out, grph.offset + at.*field + extra, static_cast<std::uint32_t>(value), 4);
+  reforge_checksums(out);
+  return out;
+}
+
+// Requant mantissas and shifts reach the kernels' unchecked fixed-point
+// core, which is defined only for the per-channel counts the kernels
+// index and for shifts in [-31, 31]. A forger who resizes the arrays or
+// writes a shift outside that domain must get a SerializeError at load,
+// not an out-of-bounds read, an undefined shift or a throw from inside a
+// SIMD clone (which std::terminate()s) at run time.
+TEST(SerializeForged, HostileRequantAttrsFailClosed) {
+  const compile::CompiledModel conv_model = compile_small(nb201::Genotype::from_index(888));
+  const compile::CompiledModel pool_model = compile_small(nb201::Genotype::from_index(15624));
+  const std::vector<std::byte> conv_bytes = serialize::save_model_bytes(conv_model);
+  const std::vector<std::byte> pool_bytes = serialize::save_model_bytes(pool_model);
+  const auto first_shift = 4;  // past the shift count
+
+  // The rewriting itself is benign: a longer name with the arrays kept
+  // loads and runs.
+  const Tensor input = sample_input(8, 31);
+  for (const auto& [bytes, op] : {std::pair{&conv_bytes, ir::OpKind::kQConv2d},
+                                  std::pair{&pool_bytes, ir::OpKind::kQAvgPool}}) {
+    const serialize::SectionInfo grph = section_named(*bytes, "GRPH");
+    const std::uint32_t count =
+        requant_fields(std::span<const std::byte>(bytes->data() + grph.offset, grph.size), op)
+            .count;
+    const compile::CompiledModel renamed =
+        serialize::load_model_bytes(with_requant_count(*bytes, op, count));
+    rt::Executor exec(renamed.graph, renamed.plan, rt::ExecOptions{1, &renamed.packed});
+    EXPECT_EQ(exec.run(input).numel(), static_cast<std::size_t>(10));
+  }
+
+  const struct {
+    const char* what;
+    std::vector<std::byte> bytes;
+  } hostile[] = {
+      {"qconv2d shift -40",
+       with_requant_i32(conv_bytes, ir::OpKind::kQConv2d, &RequantFieldsAt::shift, first_shift,
+                        -40)},
+      {"qconv2d shift +40",
+       with_requant_i32(conv_bytes, ir::OpKind::kQConv2d, &RequantFieldsAt::shift, first_shift,
+                        40)},
+      {"qconv2d mantissa/shift cut to 1",
+       with_requant_count(conv_bytes, ir::OpKind::kQConv2d, 1)},
+      {"qavg_pool mantissa/shift emptied",
+       with_requant_count(pool_bytes, ir::OpKind::kQAvgPool, 0)},
+      {"qavg_pool shift -40",
+       with_requant_i32(pool_bytes, ir::OpKind::kQAvgPool, &RequantFieldsAt::shift, first_shift,
+                        -40)},
+      {"qadd shift2 -40",
+       with_requant_i32(pool_bytes, ir::OpKind::kQAdd, &RequantFieldsAt::shift2, 0, -40)},
+  };
+  for (const auto& h : hostile) expect_fails_closed_both_ways(h.bytes, h.what);
+
+  // The same graphs built in memory: the Executor constructor validates.
+  const auto rejects = [](const compile::CompiledModel& model, ir::OpKind op,
+                          const std::function<void(ir::QuantAttrs&)>& mutate,
+                          const char* what) {
+    ir::Graph graph = model.graph;
+    for (const ir::Node& node : graph.nodes()) {
+      if (node.op != op) continue;
+      mutate(graph.node(node.id).quant);
+      break;
+    }
+    EXPECT_THROW(rt::Executor(graph, model.plan, rt::ExecOptions{1, &model.packed}),
+                 std::logic_error)
+        << what;
+  };
+  rejects(conv_model, ir::OpKind::kQConv2d, [](ir::QuantAttrs& q) { q.shift[0] = -40; },
+          "qconv2d shift -40");
+  rejects(conv_model, ir::OpKind::kQConv2d, [](ir::QuantAttrs& q) { q.shift[0] = 40; },
+          "qconv2d shift +40");
+  rejects(conv_model, ir::OpKind::kQConv2d,
+          [](ir::QuantAttrs& q) {
+            q.mantissa.resize(1);
+            q.shift.resize(1);
+          },
+          "qconv2d mantissa/shift cut to 1");
+  rejects(pool_model, ir::OpKind::kQAvgPool,
+          [](ir::QuantAttrs& q) {
+            q.mantissa.clear();
+            q.shift.clear();
+          },
+          "qavg_pool mantissa/shift emptied");
+  rejects(pool_model, ir::OpKind::kQAvgPool, [](ir::QuantAttrs& q) { q.shift[0] = -40; },
+          "qavg_pool shift -40");
+  rejects(pool_model, ir::OpKind::kQAdd, [](ir::QuantAttrs& q) { q.shift2 = -40; },
+          "qadd shift2 -40");
 }
 
 TEST(Serialize, LegacyPlanWithoutTailLoads) {
